@@ -60,49 +60,11 @@ class Overflow(CharFnError):
 
 
 # ---------------------------------------------------------------------------
-# divisors
-
-
-@dataclass(frozen=True)
-class Divisor:
-    """Point masses: positive multiplicities are zeros, negative are poles."""
-
-    locations: np.ndarray
-    multiplicities: np.ndarray
-
-    def __post_init__(self):
-        if self.locations.shape != self.multiplicities.shape:
-            raise ValueError("locations and multiplicities must align")
-
-    @property
-    def points(self) -> List[Tuple[complex, int]]:
-        return [
-            (complex(z), int(m))
-            for z, m in zip(self.locations, self.multiplicities)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.locations)
-
-
-def _merge_points(points: Sequence[Tuple[complex, int]]) -> Divisor:
-    locs: List[complex] = []
-    mults: List[int] = []
-    for z, m in sorted(points, key=lambda p: (p[0].real, p[0].imag)):
-        if locs and abs(z - locs[-1]) <= 1e-12 * max(1.0, abs(z)):
-            mults[-1] += m
-        else:
-            locs.append(z)
-            mults.append(m)
-    keep = [(z, m) for z, m in zip(locs, mults) if m != 0]
-    return Divisor(
-        locations=np.array([z for z, _ in keep], dtype=complex),
-        multiplicities=np.array([m for _, m in keep], dtype=np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
 # models
+
+
+# (|z - offset|, multiplicity) float arrays of a divisor's points
+Magnitudes = Tuple[np.ndarray, np.ndarray]
 
 
 class MeromorphicModel:
@@ -119,9 +81,26 @@ class MeromorphicModel:
     def poles(self, radius: float) -> List[Tuple[complex, int]]:
         return []
 
+    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+        """Magnitudes of the whole finite zero ("zeros") or pole ("poles")
+        divisor moved by -offset, in no particular order."""
+        pts = self.zeros(math.inf) if kind == "zeros" else self.poles(math.inf)
+        return (
+            np.array([abs(z - offset) for z, _ in pts], dtype=float),
+            np.array([m for _, m in pts], dtype=float),
+        )
+
+    def band_error(self, r: float, offset: complex = 0j) -> float:
+        """Quadrature error bound on circle r from rings evaluated by their
+        circle mean, with the divisor moved by -offset."""
+        return 0.0
+
     def seed_angles(self, r: float) -> List[float]:
         """Angles where the integrand may have structure near circle r."""
         return []
+
+
+_OTHER_KIND = {"zeros": "poles", "poles": "zeros"}
 
 
 def _poly_floats(coeffs: Sequence[Fraction]) -> np.ndarray:
@@ -283,9 +262,34 @@ class CanonicalProduct(MeromorphicModel):
                     pts.append((rk * complex(math.cos(a), math.sin(a)), 1))
         return pts
 
-    def zero_magnitude_blocks(self, radius: float) -> List[Tuple[float, int]]:
-        """(ring radius, count) for rings inside; avoids materializing points."""
-        return [(rk, nk) for rk, nk in self.levels if rk <= radius]
+    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+        if kind == "poles":
+            return np.array([], dtype=float), np.array([], dtype=float)
+        if offset == 0:
+            # one block per ring: all n_k zeros sit at |z| = r_k
+            return (
+                np.array([rk for rk, _ in self.levels], dtype=float),
+                np.array([nk for _, nk in self.levels], dtype=float),
+            )
+        parts = []
+        for rk, nk in self.levels:
+            angles = TWO_PI * np.arange(nk) / nk
+            parts.append(np.abs(rk * np.exp(1j * angles) - offset))
+        mags = np.concatenate(parts)
+        return mags, np.ones_like(mags)
+
+    def band_error(self, r: float, offset: complex = 0j) -> float:
+        total = 0.0
+        for rk, nk in self.levels:
+            if nk < _RIPPLE_AVERAGE_N:
+                continue
+            span_lo, span_hi = r - abs(offset), r + abs(offset)
+            band = rk * _EXACT_BAND / nk
+            if span_lo <= rk + band and span_hi >= rk - band:
+                # two transversal crossings, each an arc of order band wide
+                arc = min(TWO_PI, 16.0 * band / max(r, 1.0))
+                total += 2.0 * arc * 0.7
+        return total
 
     def seed_angles(self, r: float) -> List[float]:
         out: List[float] = []
@@ -363,6 +367,12 @@ class Shifted(MeromorphicModel):
             if abs(z - self.c) <= radius
         ]
 
+    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+        return self.base.divisor_magnitudes(kind, offset + self.c)
+
+    def band_error(self, r: float, offset: complex = 0j) -> float:
+        return self.base.band_error(r, offset + self.c)
+
     def seed_angles(self, r: float) -> List[float]:
         out: List[float] = []
         base = self.base
@@ -422,6 +432,14 @@ class PowerModel(MeromorphicModel):
         src = self.base.poles(radius) if self.k > 0 else self.base.zeros(radius)
         return [(z, abs(self.k) * m) for z, m in src]
 
+    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+        base_kind = kind if self.k > 0 else _OTHER_KIND[kind]
+        mags, mults = self.base.divisor_magnitudes(base_kind, offset)
+        return mags, abs(self.k) * mults
+
+    def band_error(self, r: float, offset: complex = 0j) -> float:
+        return abs(self.k) * self.base.band_error(r, offset)
+
     def seed_angles(self, r: float) -> List[float]:
         return self.base.seed_angles(r)
 
@@ -445,6 +463,14 @@ class Quotient(MeromorphicModel):
 
     def poles(self, radius: float) -> List[Tuple[complex, int]]:
         return self.num.poles(radius) + self.den.zeros(radius)
+
+    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+        num_mags, num_mults = self.num.divisor_magnitudes(kind, offset)
+        den_mags, den_mults = self.den.divisor_magnitudes(_OTHER_KIND[kind], offset)
+        return np.concatenate([num_mags, den_mags]), np.concatenate([num_mults, den_mults])
+
+    def band_error(self, r: float, offset: complex = 0j) -> float:
+        return self.num.band_error(r, offset) + self.den.band_error(r, offset)
 
     def seed_angles(self, r: float) -> List[float]:
         return self.num.seed_angles(r) + self.den.seed_angles(r)
@@ -532,97 +558,29 @@ def _circle_mean_pos(
             raise QuadratureNonConvergence(f"too many panels at r={r:g}")
     value = math.fsum(accepted) / TWO_PI
     error = (math.fsum(err_parts) + 1e-16 * scale) / TWO_PI
-    error += _averaged_band_error(model, r) / TWO_PI
+    error += model.band_error(r) / TWO_PI
     return CircleMean(value=value, error=error, radius=r, evaluations=evals)
-
-
-def _averaged_band_error(model: MeromorphicModel, r: float, offset: complex = 0j) -> float:
-    """Arc-length bound for rings evaluated by their circle mean."""
-    if isinstance(model, CanonicalProduct):
-        total = 0.0
-        for rk, nk in model.levels:
-            if nk < _RIPPLE_AVERAGE_N:
-                continue
-            span_lo, span_hi = r - abs(offset), r + abs(offset)
-            band = rk * _EXACT_BAND / nk
-            if span_lo <= rk + band and span_hi >= rk - band:
-                # two transversal crossings, each an arc of order band wide
-                arc = min(TWO_PI, 16.0 * band / max(r, 1.0))
-                total += 2.0 * arc * 0.7
-        return total
-    if isinstance(model, Shifted):
-        return _averaged_band_error(model.base, r, offset + model.c)
-    if isinstance(model, Quotient):
-        return _averaged_band_error(model.num, r, offset) + _averaged_band_error(
-            model.den, r, offset
-        )
-    if isinstance(model, PowerModel):
-        return abs(model.k) * _averaged_band_error(model.base, r, offset)
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
 # counting and characteristic
 
 
-def _magnitude_data(model: MeromorphicModel, kind: str, cap: float):
-    """(magnitudes array, multiplicities array, order at origin)."""
-    if kind == "zeros" and isinstance(model, CanonicalProduct):
-        blocks = model.zero_magnitude_blocks(cap)
-        mags = np.array([rk for rk, _ in blocks], dtype=float)
-        mults = np.array([nk for _, nk in blocks], dtype=float)
-        return mags, mults, 0
-    if (
-        kind == "zeros"
-        and isinstance(model, Shifted)
-        and isinstance(model.base, CanonicalProduct)
-    ):
-        parts_m = []
-        for rk, nk in model.base.levels:
-            if rk > cap + abs(model.c):
-                continue
-            angles = TWO_PI * np.arange(nk) / nk
-            pts = rk * np.exp(1j * angles) - model.c
-            m = np.abs(pts)
-            parts_m.append(m[m <= cap])
-        if parts_m:
-            mags = np.concatenate(parts_m)
-        else:
-            mags = np.array([], dtype=float)
-        n0 = int(np.count_nonzero(mags <= 1e-12))
-        mags = mags[mags > 1e-12]
-        return mags, np.ones_like(mags), n0
-    pts = model.poles(cap) if kind == "poles" else model.zeros(cap)
-    mags_l: List[float] = []
-    mults_l: List[int] = []
-    n0 = 0
-    for z, m in pts:
-        az = abs(z)
-        if az <= 1e-12:
-            n0 += m
-        else:
-            mags_l.append(az)
-            mults_l.append(m)
-    return np.array(mags_l, dtype=float), np.array(mults_l, dtype=float), n0
-
-
 @lru_cache(maxsize=512)
-def _counting_arrays(model: MeromorphicModel, kind: str, cap: float):
-    """Sorted magnitudes with prefix sums for O(log n) counting queries."""
-    mag_arr, mult_arr, n0 = _magnitude_data(model, kind, cap)
-    order = np.argsort(mag_arr)
-    mag_arr = mag_arr[order]
-    mult_arr = mult_arr[order]
-    prefix_m = np.concatenate([[0.0], np.cumsum(mult_arr)])
-    if len(mag_arr):
-        prefix_mlog = np.concatenate([[0.0], np.cumsum(mult_arr * np.log(mag_arr))])
-    else:
-        prefix_mlog = np.array([0.0])
-    return mag_arr, prefix_m, prefix_mlog, n0
-
-
-def _cap_for(r: float) -> float:
-    return float(2.0 ** math.ceil(math.log2(max(r, 1.0)) + 1e-12))
+def _counting_arrays(model: MeromorphicModel, kind: str):
+    """One index over the model's whole divisor of one kind: sorted
+    magnitudes with prefix sums for O(log n) counting queries at any radius,
+    plus the multiplicity at the origin."""
+    mags, mults = model.divisor_magnitudes(kind)
+    at_origin = mags <= 1e-12
+    n0 = float(mults[at_origin].sum())
+    mags, mults = mags[~at_origin], mults[~at_origin]
+    # stable: a shifted ring is a few monotone runs, which timsort merges
+    order = np.argsort(mags, kind="stable")
+    mags, mults = mags[order], mults[order]
+    prefix_m = np.concatenate([[0.0], np.cumsum(mults)])
+    prefix_mlog = np.concatenate([[0.0], np.cumsum(mults * np.log(mags))])
+    return mags, prefix_m, prefix_mlog, n0
 
 
 def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
@@ -631,19 +589,10 @@ def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
         raise ValueError("counting is reported for r >= 1")
     if of not in ("poles", "zeros"):
         raise ValueError("of must be 'poles' or 'zeros'")
-    mags, prefix_m, prefix_mlog, n0 = _counting_arrays(model, of, _cap_for(r))
+    mags, prefix_m, prefix_mlog, n0 = _counting_arrays(model, of)
     k = int(np.searchsorted(mags, r, side="right"))
     total = prefix_m[k] * math.log(r) - prefix_mlog[k]
     return float(total + n0 * math.log(r))
-
-
-def zeros_poles(model: MeromorphicModel, radius: float) -> Divisor:
-    """Merged divisor within the radius: zeros count +, poles count -."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pts = [(z, m) for z, m in model.zeros(radius)]
-    pts += [(z, -m) for z, m in model.poles(radius)]
-    return _merge_points(pts)
 
 
 @dataclass(frozen=True)
@@ -656,9 +605,11 @@ class CharacteristicSample:
 
 
 def _perturb_off_divisor(model: MeromorphicModel, r: float) -> float:
+    pole_mags = _counting_arrays(model, "poles")[0]
     for _ in range(3):
-        pole_mags = [abs(z) for z, _ in model.poles(r * 1.001)]
-        if all(abs(pm - r) > 1e-12 * r for pm in pole_mags):
+        # the first pole magnitude at or above r - 1e-12 r, if any, decides
+        k = pole_mags.searchsorted(r - 1e-12 * r)
+        if k == len(pole_mags) or pole_mags[k] > r + 1e-12 * r:
             return r
         r = r * (1.0 + 1e-9)
     raise PoleOnCircle(f"poles stayed on |z| = {r:g} after 3 nudges")
@@ -746,7 +697,7 @@ def shift_inequality_check(
     r0 = 1.0 + 2.0 * c_abs
 
     cache = _base_cache if _base_cache is not None else {}
-    key = (id(model), complex(c), kind)
+    key = (model, complex(c), kind)
     if key not in cache:
         base_n = counting_N(model, r0, of=kind)
         base_mean = proximity_m(model, r0, tol_unit=tol_unit)

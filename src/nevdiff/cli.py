@@ -121,6 +121,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, str) and key in _FIELD_TYPES:
                 value = _coerce(key, value)
             setattr(cfg, key, value)
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not abs(value) < float("inf"):  # nan too
+            raise ValueError(f"{name} must be finite, got {value}")
     return cfg
 
 
@@ -521,15 +524,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(cfg.dump())
             return OK
         return _DISPATCH[cfg.subcommand](cfg)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, poleprop.Overflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return OPERATIONAL_ERROR
-    except (
-        clunie.ClunieError,
-        charfn.CharFnError,
-        growth.GrowthError,
-        poleprop.Overflow,
-    ) as exc:
+    except (clunie.ClunieError, charfn.CharFnError, growth.GrowthError) as exc:
         sys.stderr.write(f"rejected: {exc}\n")
         return REJECTED
 

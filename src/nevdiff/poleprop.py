@@ -18,11 +18,14 @@ from typing import Sequence, Tuple
 from .clunie import DegreeProfile, WrongBenchmark
 
 STEP_RATIO = Fraction(3, 2)  # the quadratic-vs-cubic propagation ratio
-MAX_CEILING = 10**400
+# k0 * ratio^steps may not exceed this, which keeps every bound, its
+# counting sum and ratio^(1+n) in growth_lower_bound well inside the float
+# range
+MAX_BOUND = 1e300
 
 
 class Overflow(Exception):
-    """The chain outgrew the configured ceiling cap."""
+    """The chain would outgrow the float range."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = (), ratio: Fracti
         raise ValueError("initial pole order must be at least 1")
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if math.log(k0) + steps * math.log(ratio) > math.log(MAX_BOUND):
+        raise Overflow(f"{steps} steps from k0={k0} exceed the float range")
     skip = set(skip_points)
     bounds = [Fraction(k0)]
     ceilings = [k0]
@@ -63,10 +68,7 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = (), ratio: Fracti
             ceilings.append(ceilings[-1])
             continue
         bounds.append(bounds[-1] * ratio)
-        nxt = -((-ceilings[-1] * ratio.numerator) // ratio.denominator)
-        if nxt > MAX_CEILING:
-            raise Overflow(f"ceiling exceeds cap at step {n}")
-        ceilings.append(nxt)
+        ceilings.append(-((-ceilings[-1] * ratio.numerator) // ratio.denominator))
     return PoleChain(
         k0=k0,
         bounds=tuple(bounds),

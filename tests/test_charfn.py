@@ -18,26 +18,26 @@ EXP_Z = cf.ExpPoly((F0, F1))  # e^z
 
 
 def test_zeros_poles_simple_pole():
-    div = cf.zeros_poles(INV_SHIFT, 2.0)
-    assert div.points == [(1 + 0j, -1)]
+    assert INV_SHIFT.poles(2.0) == [(1 + 0j, 1)]
+    assert INV_SHIFT.zeros(2.0) == []
 
 
 def test_zeros_poles_ring():
     prod = cf.CanonicalProduct(((8.0, 4),))
-    div = cf.zeros_poles(prod, 10.0)
-    assert len(div) == 4
-    assert all(m == 1 for _, m in div.points)
-    assert sorted(round(abs(z), 9) for z, _ in div.points) == [8.0] * 4
+    pts = prod.zeros(10.0)
+    assert len(pts) == 4
+    assert all(m == 1 for _, m in pts)
+    assert sorted(round(abs(z), 9) for z, _ in pts) == [8.0] * 4
+    assert prod.poles(10.0) == []
 
 
 def test_zeros_poles_entire_double_exponential():
-    assert len(cf.zeros_poles(cf.ExpExp(), 100.0)) == 0
+    assert cf.ExpExp().zeros(100.0) == [] and cf.ExpExp().poles(100.0) == []
 
 
 def test_root_isolation_multiplicity():
     sq = cf.RationalFn((F0, F0, F1), (F1,))  # z^2
-    div = cf.zeros_poles(sq, 1.0)
-    assert div.points == [(0j, 2)]
+    assert sq.zeros(1.0) == [(0j, 2)]
 
 
 # -- counting -------------------------------------------------------------------
@@ -67,6 +67,51 @@ def test_counting_shifted_ring_matches_bruteforce():
         if abs(z) > 1e-12:
             brute += m * math.log(r / abs(z))
     assert cf.counting_N(shifted, r, of="zeros") == pytest.approx(brute, rel=1e-12)
+
+
+def _counting_reference(model, r, of):
+    """Sum of m log(r/|z|) over the materialised divisor, origin points as
+    m log r."""
+    pts = model.zeros(r) if of == "zeros" else model.poles(r)
+    return math.fsum(
+        m * math.log(r / abs(z)) if abs(z) > 1e-12 else m * math.log(r) for z, m in pts
+    )
+
+
+PRODUCT3 = cf.CanonicalProduct(((8.0, 1), (16.0, 300), (32.0, 5000)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PRODUCT3,
+        cf.Shifted(PRODUCT3, 1.0),
+        cf.Shifted(PRODUCT3, 1j),
+        cf.Shifted(PRODUCT3, 2 + 1j),
+        cf.Quotient(cf.Shifted(PRODUCT3, 3.0), PRODUCT3),
+        cf.PowerModel(PRODUCT3, -2),
+        cf.RationalFn((F(-2), F0, F1), (F0, F0, F(-1), F1)),  # (z^2-2)/(z^2 (z-1))
+    ],
+    ids=lambda m: m.label[:40],
+)
+def test_counting_index_matches_oracle(model):
+    # ring radii exactly, and just either side of the shifted ring 32 - |c|
+    # (its nearest point) and 32 + |c| (its farthest)
+    radii = [1.0, 8.0, 16.0, 32.0, 33.0, 40.0, 70.0]
+    for c_abs in (1.0, math.sqrt(5.0), 3.0):
+        for edge in (32.0 - c_abs, 32.0 + c_abs):
+            radii += [edge * (1 - 1e-9), edge * (1 + 1e-9)]
+    for of in ("zeros", "poles"):
+        for r in radii:
+            got = cf.counting_N(model, r, of=of)
+            want = _counting_reference(model, r, of)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (of, r)
+
+
+def test_pole_ring_nudges_only_on_the_ring():
+    quotient = cf.Quotient(cf.Shifted(PRODUCT3, 3.0), PRODUCT3)
+    assert cf.proximity_m(quotient, 31.5).radius == 31.5
+    assert cf.proximity_m(quotient, 32.0).radius == 32.0 * (1.0 + 1e-9)
 
 
 # -- proximity ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from nevdiff.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -164,6 +166,29 @@ def test_polechain_table(capsys):
     assert lines[0] == "n,bound,ceiling,counting_lower"
     assert lines[2].startswith("1,3/2,2,")
     assert lines[8].startswith("7,2187/128,27,")
+
+
+def test_polechain_past_float_range_is_an_error(capsys):
+    code, out, err = run(capsys, "polechain", "--k0", "1", "--steps", "1800")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["shift-check", "--model", "rational:{1}/{z-1}", "--r-min", "nan"], "r_min"),
+        (["logdiff-check", "--model", "exp:z", "--ratio", "nan"], "ratio"),
+        (["logdiff-check", "--model", "exp:z", "--horizon", "inf"], "horizon"),
+    ],
+)
+def test_non_finite_config_rejected(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {field} must be finite, got {argv[-1]}\n"
 
 
 def test_characteristic_csv(capsys):
