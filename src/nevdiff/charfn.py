@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +53,10 @@ class PoleOnCircle(CharFnError):
 
 class QuadratureNonConvergence(CharFnError):
     pass
+
+
+class NumericalBreakdown(CharFnError):
+    """The integrand left the float range (NaN or +inf) on a circle."""
 
 
 class Overflow(CharFnError):
@@ -152,23 +156,40 @@ class RationalFn(MeromorphicModel):
     def degree(self) -> int:
         return max(_frac_degree(self.num), _frac_degree(self.den))
 
+    # Fraction hashing is slow, and scans look models up by hash per radius
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.num, self.den))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _floats(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _poly_floats(self.num), _poly_floats(self.den)
+
+    @cached_property
+    def _roots(self) -> Tuple[Tuple[Tuple[complex, int], ...], ...]:
+        """(zeros, poles) as clustered (point, multiplicity) pairs."""
+        return _poly_roots(self.num), _poly_roots(self.den)
+
     def log_abs(self, z: np.ndarray) -> np.ndarray:
+        num, den = self._floats
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(_polyval(_poly_floats(self.num), z))) - np.log(
-                np.abs(_polyval(_poly_floats(self.den), z))
-            )
+            return np.log(np.abs(_polyval(num, z))) - np.log(np.abs(_polyval(den, z)))
 
     def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(z, m) for z, m in _poly_roots(self.num) if abs(z) <= radius]
+        return [(z, m) for z, m in self._roots[0] if abs(z) <= radius]
 
     def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(z, m) for z, m in _poly_roots(self.den) if abs(z) <= radius]
+        return [(z, m) for z, m in self._roots[1] if abs(z) <= radius]
 
     def seed_angles(self, r: float) -> List[float]:
         out = []
-        for z, _ in _poly_roots(self.num) + _poly_roots(self.den):
-            if abs(abs(z) - r) <= 0.1 * r and z != 0:
-                out.append(math.atan2(z.imag, z.real))
+        for roots in self._roots:
+            for z, _ in roots:
+                if abs(abs(z) - r) <= 0.1 * r and z != 0:
+                    out.append(math.atan2(z.imag, z.real))
         return out
 
 
@@ -205,8 +226,7 @@ def _require_coprime(num: Sequence[Fraction], den: Sequence[Fraction]) -> None:
         raise ValueError("numerator and denominator share a polynomial factor")
 
 
-@lru_cache(maxsize=256)
-def _poly_roots_cached(coeffs: Tuple[Fraction, ...]) -> Tuple[Tuple[complex, int], ...]:
+def _poly_roots(coeffs: Tuple[Fraction, ...]) -> Tuple[Tuple[complex, int], ...]:
     floats = [float(c) for c in coeffs]
     while floats and floats[-1] == 0.0:
         floats.pop()
@@ -214,10 +234,6 @@ def _poly_roots_cached(coeffs: Tuple[Fraction, ...]) -> Tuple[Tuple[complex, int
         return ()
     roots = np.roots(floats[::-1])
     return tuple(_cluster_roots(roots))
-
-
-def _poly_roots(coeffs: Tuple[Fraction, ...]) -> List[Tuple[complex, int]]:
-    return list(_poly_roots_cached(coeffs))
 
 
 @dataclass(frozen=True)
@@ -327,8 +343,19 @@ class ExpPoly(MeromorphicModel):
     def label(self) -> str:
         return f"exp:{_poly_text_frac(self.exponent)}"
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.exponent,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        return _poly_floats(self.exponent)
+
     def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return _polyval(_poly_floats(self.exponent), z).real
+        return _polyval(self._floats, z).real
 
 
 @dataclass(frozen=True)
@@ -480,7 +507,7 @@ class Quotient(MeromorphicModel):
 # adaptive circle quadrature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleMean:
     value: float
     error: float
@@ -488,78 +515,193 @@ class CircleMean:
     evaluations: int
 
 
-def _circle_mean_pos(
+# probe angles that set each circle's integrand scale
+_PROBE = np.linspace(0.0, TWO_PI, 257)
+# panels narrower than this are accepted as they are
+_H_MIN = TWO_PI * 2.0**-42
+# a block of radii starts with at most this many evaluation points (or one
+# radius); it bounds the frontier arrays and so the peak memory of a scan
+_BLOCK_POINTS = 8192
+
+# the means of the longest prefix of the radii that succeeds, and the error
+# of the radius after it (None when every radius succeeds)
+MeansPrefix = Tuple[List[CircleMean], Optional[CharFnError]]
+
+
+def circle_means(
     model: MeromorphicModel,
-    r: float,
+    radii: Sequence[float],
     *,
-    tol_unit: float = 1e-8,
+    tol_unit: float,
     base_panels: int = 64,
     max_panels: int = 400_000,
-) -> CircleMean:
-    """Adaptive-Simpson mean over the circle of max(0, log|f|).
+) -> List[CircleMean]:
+    """Adaptive-Simpson means over the circles |z| = r of max(0, log|f|).
 
-    The absolute target is tol_unit per unit of integrand scale; panel
-    boundaries are seeded at divisor angles near the circle.  Accepted
-    contributions are combined with exact summation, so results are
-    byte-stable regardless of refinement order.
+    The absolute target is tol_unit per unit of integrand scale, set per
+    circle; panel boundaries are seeded at divisor angles near the circle.
+    Every round evaluates the live panels of a whole block of circles in one
+    model call, but each circle keeps its own scale, tolerance, acceptance,
+    budget and panel cap, and its accepted contributions are combined with
+    exact summation, so each mean is the one its circle gets alone and is
+    byte-stable regardless of refinement order.  Raises the error of the
+    first failing radius in the order given.
     """
+    means, err = _means_prefix(model, radii, tol_unit, base_panels, max_panels)
+    if err is not None:
+        raise err
+    return means
 
-    def f(theta: np.ndarray) -> np.ndarray:
-        zs = r * np.exp(1j * theta)
-        return np.maximum(model.log_abs(zs), 0.0)
 
-    seeds = sorted(a % TWO_PI for a in model.seed_angles(r))
+def _means_prefix(
+    model: MeromorphicModel,
+    radii: Sequence[float],
+    tol_unit: float,
+    base_panels: int = 64,
+    max_panels: int = 400_000,
+) -> MeansPrefix:
+    base = _initial_panels([], base_panels)
+    panels = []
+    for r in radii:
+        seeds = model.seed_angles(r)
+        panels.append(_initial_panels(seeds, base_panels) if seeds else base)
+    means: List[CircleMean] = []
+    start = 0
+    while start < len(radii):
+        stop, points = start + 1, len(_PROBE) + 3 * len(panels[start][0])
+        while stop < len(radii):
+            points += len(_PROBE) + 3 * len(panels[stop][0])
+            if points > _BLOCK_POINTS:
+                break
+            stop += 1
+        block, err = _block_means(
+            model, radii[start:stop], panels[start:stop], tol_unit, max_panels
+        )
+        means.extend(block)
+        if err is not None:
+            return means, err
+        start = stop
+    return means, None
+
+
+def _initial_panels(seeds: Sequence[float], base_panels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Left ends and widths of the base panels split at the seed angles."""
+    seeds = sorted(a % TWO_PI for a in seeds)
     bounds = sorted(set(np.linspace(0.0, TWO_PI, base_panels + 1)) | set(seeds))
     bounds = np.array(bounds, dtype=float)
     widths = np.diff(bounds)
     keep = widths > 1e-15
-    a = bounds[:-1][keep]
-    h = widths[keep]
+    return bounds[:-1][keep], widths[keep]
 
-    probe = f(np.linspace(0.0, TWO_PI, 257))
-    scale = max(1.0, float(np.max(probe)))
-    tol_total = tol_unit * scale * TWO_PI
-    h_min = TWO_PI * 2.0**-42
 
-    f0 = f(a)
-    f1 = f(a + 0.5 * h)
-    f2 = f(a + h)
-    accepted: List[float] = []
-    err_parts: List[float] = []
-    evals = 257 + 3 * len(a)
-    while len(a):
-        if evals > max_panels * 4:
-            raise QuadratureNonConvergence(
-                f"budget exhausted at r={r:g} ({evals} evaluations)"
-            )
+def _integrand(model: MeromorphicModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # overflow shows as a non-finite value, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(model.log_abs(r * np.exp(1j * theta)), 0.0)
+
+
+def _block_means(
+    model: MeromorphicModel,
+    radii: Sequence[float],
+    panels: Sequence[Tuple[np.ndarray, np.ndarray]],
+    tol_unit: float,
+    max_panels: int,
+) -> MeansPrefix:
+    """Adaptive Simpson on one frontier of (circle, panel) pairs.
+
+    `rid` names each panel's circle.  A failing circle stops the block for
+    itself and every later circle; an earlier one that fails later in the
+    refinement still takes precedence, as it would in a scan in order.
+    """
+    nb = len(radii)
+    rb = np.array(radii, dtype=float)
+    failures: dict = {}
+
+    def fail(bad: np.ndarray, make) -> None:
+        for j in np.flatnonzero(bad):
+            failures.setdefault(int(j), make(radii[j], int(evals[j])))
+
+    def nonfinite(point_rid: np.ndarray, values: np.ndarray) -> None:
+        if not np.all(np.isfinite(values)):
+            hit = np.bincount(point_rid[~np.isfinite(values)], minlength=nb) > 0
+            fail(hit, lambda r, _: NumericalBreakdown(f"non-finite integrand at r={r:g}"))
+
+    counts = np.array([len(a) for a, _ in panels])
+    rid = np.repeat(np.arange(nb), counts)
+    a = np.concatenate([a for a, _ in panels])
+    h = np.concatenate([h for _, h in panels])
+    evals = len(_PROBE) + 3 * counts
+    n_probe = nb * len(_PROBE)
+    probe_rid = np.repeat(np.arange(nb), len(_PROBE))
+    point_rid = np.concatenate([probe_rid, rid, rid, rid])
+    vals = _integrand(
+        model, rb[point_rid], np.concatenate([np.tile(_PROBE, nb), a, a + 0.5 * h, a + h])
+    )
+    nonfinite(point_rid, vals)
+    scale = np.maximum(1.0, vals[:n_probe].reshape(nb, len(_PROBE)).max(axis=1))
+    tol = tol_unit * scale * TWO_PI
+    f0, f1, f2 = np.split(vals[n_probe:], 3)
+
+    acc_rid = [np.zeros(0, dtype=rid.dtype)]
+    acc_val = [np.zeros(0)]
+    acc_err = [np.zeros(0)]
+    while True:
+        live = np.bincount(rid, minlength=nb) > 0
+        fail(
+            live & (evals > max_panels * 4),
+            lambda r, n: QuadratureNonConvergence(
+                f"budget exhausted at r={r:g} ({n} evaluations)"
+            ),
+        )
+        if failures:
+            keep = rid < min(failures)
+            rid, a, h, f0, f1, f2 = rid[keep], a[keep], h[keep], f0[keep], f1[keep], f2[keep]
+        if not len(a):
+            break
         xl = a + 0.25 * h
         xr = a + 0.75 * h
-        fl = f(xl)
-        fr = f(xr)
-        evals += 2 * len(a)
+        both = np.concatenate([rid, rid])
+        vals = _integrand(model, rb[both], np.concatenate([xl, xr]))
+        fl, fr = np.split(vals, 2)
+        evals += np.bincount(both, minlength=nb)
         s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
         s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
         err = np.abs(s2 - s1) / 15.0
-        ok = (err <= tol_total * h / TWO_PI) | (h <= h_min)
-        for v, e in zip(s2[ok] + (s2[ok] - s1[ok]) / 15.0, err[ok]):
-            accepted.append(float(v))
-            err_parts.append(float(e))
+        ok = (err <= tol[rid] * h / TWO_PI) | (h <= _H_MIN)
+        acc_rid.append(rid[ok])
+        acc_val.append(s2[ok] + (s2[ok] - s1[ok]) / 15.0)
+        acc_err.append(err[ok])
+        nonfinite(both, vals)
         bad = ~ok
-        a_bad, h_bad = a[bad], h[bad]
+        a_bad, h_bad, rid_bad = a[bad], h[bad], rid[bad]
         mid_bad = f1[bad]
         # left half runs (a, a+h/2) with end value at the old midpoint;
         # right half runs (a+h/2, a+h) starting there
         a = np.concatenate([a_bad, a_bad + 0.5 * h_bad])
         h = np.concatenate([0.5 * h_bad, 0.5 * h_bad])
+        rid = np.concatenate([rid_bad, rid_bad])
         f0 = np.concatenate([f0[bad], mid_bad])
         f2 = np.concatenate([mid_bad, f2[bad]])
         f1 = np.concatenate([fl[bad], fr[bad]])
-        if len(a) > max_panels:
-            raise QuadratureNonConvergence(f"too many panels at r={r:g}")
-    value = math.fsum(accepted) / TWO_PI
-    error = (math.fsum(err_parts) + 1e-16 * scale) / TWO_PI
-    error += model.band_error(r) / TWO_PI
-    return CircleMean(value=value, error=error, radius=r, evaluations=evals)
+        fail(
+            np.bincount(rid, minlength=nb) > max_panels,
+            lambda r, _: QuadratureNonConvergence(f"too many panels at r={r:g}"),
+        )
+
+    done = min(failures, default=nb)
+    acc = np.concatenate(acc_rid)
+    values = np.concatenate(acc_val)
+    errors = np.concatenate(acc_err)
+    means = []
+    for j in range(done):
+        mine = acc == j
+        value = math.fsum(values[mine].tolist()) / TWO_PI
+        error = (math.fsum(errors[mine].tolist()) + 1e-16 * float(scale[j])) / TWO_PI
+        error += model.band_error(radii[j]) / TWO_PI
+        means.append(
+            CircleMean(value=value, error=error, radius=radii[j], evaluations=int(evals[j]))
+        )
+    return means, failures.get(done)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +737,7 @@ def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
     return float(total + n0 * math.log(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacteristicSample:
     r: float
     m: float
@@ -620,18 +762,56 @@ def proximity_m(
 ) -> CircleMean:
     """Circle mean of log+ |f|; the radius nudges off any pole on the circle."""
     r_used = _perturb_off_divisor(model, r)
-    return _circle_mean_pos(model, r_used, tol_unit=tol_unit)
+    return circle_means(model, [r_used], tol_unit=tol_unit)[0]
 
 
 def characteristic_T(
     model: MeromorphicModel, r: float, *, tol_unit: float = 1e-8
 ) -> CharacteristicSample:
-    r_used = _perturb_off_divisor(model, r)
-    mean = _circle_mean_pos(model, r_used, tol_unit=tol_unit)
-    n_val = counting_N(model, r_used, of="poles")
-    return CharacteristicSample(
-        r=r_used, m=mean.value, N=n_val, T=mean.value + n_val, quad_error=mean.error
-    )
+    return characteristic_samples(model, [r], tol_unit=tol_unit)[0]
+
+
+def characteristic_samples(
+    model: MeromorphicModel, radii: Sequence[float], *, tol_unit: float = 1e-8
+) -> List[CharacteristicSample]:
+    """characteristic_T at every radius; raises for the first that fails."""
+    samples, err = _characteristic_prefix(model, radii, tol_unit)
+    if err is not None:
+        raise err
+    return samples
+
+
+def _proximity_prefix(
+    model: MeromorphicModel, radii: Sequence[float], tol_unit: float
+) -> MeansPrefix:
+    """proximity_m over radii in order, up to the first radius that fails."""
+    used: List[float] = []
+    err: Optional[CharFnError] = None
+    for r in radii:
+        try:
+            used.append(_perturb_off_divisor(model, r))
+        except PoleOnCircle as exc:
+            err = exc
+            break
+    means, mean_err = _means_prefix(model, used, tol_unit)
+    return means, (mean_err if len(means) < len(used) else err)
+
+
+def _characteristic_prefix(
+    model: MeromorphicModel, radii: Sequence[float], tol_unit: float
+) -> Tuple[List[CharacteristicSample], Optional[CharFnError]]:
+    """characteristic_T over radii in order, up to the first radius that fails."""
+    means, err = _proximity_prefix(model, radii, tol_unit)
+    samples = []
+    for mean in means:
+        n_val = counting_N(model, mean.radius, of="poles")
+        samples.append(
+            CharacteristicSample(
+                r=mean.radius, m=mean.value, N=n_val, T=mean.value + n_val,
+                quad_error=mean.error,
+            )
+        )
+    return samples, err
 
 
 # ---------------------------------------------------------------------------
@@ -685,51 +865,10 @@ def shift_inequality_check(
     *,
     of: Optional[str] = None,
     tol_unit: float = 1e-8,
-    _base_cache: Optional[dict] = None,
 ) -> ShiftCheckRow:
     """Compare counting and characteristic of the shift against the bounds
     built from the unshifted function at radius r + |c|."""
-    c_abs = abs(c)
-    if r <= 1.0 + c_abs:
-        raise ValueError("need r > 1 + |c|")
-    kind = of or _counting_kind_default(model, r + c_abs + 1.0)
-    shifted = Shifted(model, c)
-    r0 = 1.0 + 2.0 * c_abs
-
-    cache = _base_cache if _base_cache is not None else {}
-    key = (model, complex(c), kind)
-    if key not in cache:
-        base_n = counting_N(model, r0, of=kind)
-        base_mean = proximity_m(model, r0, tol_unit=tol_unit)
-        base_t = base_mean.value + counting_N(model, r0, of="poles")
-        cache[key] = (base_n, base_t)
-    const_n, const_t = cache[key]
-
-    lhs_n = counting_N(shifted, r, of=kind)
-    main_n = _counting_factor(c_abs, r) * counting_N(model, r + c_abs, of=kind)
-    used_n = lhs_n - main_n - const_n
-
-    lhs_mean = proximity_m(shifted, r, tol_unit=tol_unit)
-    lhs_t = lhs_mean.value + counting_N(shifted, r, of="poles")
-    far_mean = proximity_m(model, r + c_abs, tol_unit=tol_unit)
-    far_t = far_mean.value + counting_N(model, r + c_abs, of="poles")
-    main_t = _char_factor(c_abs, r) * far_t
-    err_t = lhs_mean.error + _char_factor(c_abs, r) * far_mean.error
-    used_t = lhs_t - main_t - const_t
-    return ShiftCheckRow(
-        r=r,
-        c=c,
-        counting_kind=kind,
-        counting_lhs=lhs_n,
-        counting_main=main_n,
-        counting_slack_used=used_n,
-        counting_ok=used_n <= LOG2,
-        char_lhs=lhs_t,
-        char_main=main_t,
-        char_slack_used=used_t,
-        char_ok=used_t <= LOG2 + err_t,
-        quad_error=err_t,
-    )
+    return _shift_rows(model, c, [r], of, tol_unit)[0]
 
 
 def shift_inequality_sweep(
@@ -742,12 +881,66 @@ def shift_inequality_sweep(
     of: Optional[str] = None,
     tol_unit: float = 1e-8,
 ) -> List[ShiftCheckRow]:
-    cache: dict = {}
+    return _shift_rows(model, c, geometric_grid(r_min, r_max, ratio), of, tol_unit)
+
+
+def _shift_rows(
+    model: MeromorphicModel,
+    c: complex,
+    radii: Sequence[float],
+    of: Optional[str],
+    tol_unit: float,
+) -> List[ShiftCheckRow]:
+    c_abs = abs(c)
+    if any(r <= 1.0 + c_abs for r in radii):
+        raise ValueError("need r > 1 + |c|")
+    shifted = Shifted(model, c)
+    # the additive constants: the same quantities at the base radius
+    r0 = 1.0 + 2.0 * c_abs
+    const_t = proximity_m(model, r0, tol_unit=tol_unit).value + counting_N(
+        model, r0, of="poles"
+    )
+    const_n: dict = {}
+
+    lhs_means, lhs_err = _proximity_prefix(shifted, radii, tol_unit)
+    far_means, far_err = _proximity_prefix(
+        model, [r + c_abs for r in radii[: len(lhs_means)]], tol_unit
+    )
     rows = []
-    for r in geometric_grid(r_min, r_max, ratio):
+    for i, r in enumerate(radii):
+        # raise what a scan in radius order meets first
+        if i == len(lhs_means):
+            raise lhs_err
+        if i == len(far_means):
+            raise far_err
+        lhs_mean, far_mean = lhs_means[i], far_means[i]
+        kind = of or _counting_kind_default(model, r + c_abs + 1.0)
+        if kind not in const_n:
+            const_n[kind] = counting_N(model, r0, of=kind)
+
+        lhs_n = counting_N(shifted, r, of=kind)
+        main_n = _counting_factor(c_abs, r) * counting_N(model, r + c_abs, of=kind)
+        used_n = lhs_n - main_n - const_n[kind]
+
+        lhs_t = lhs_mean.value + counting_N(shifted, r, of="poles")
+        far_t = far_mean.value + counting_N(model, r + c_abs, of="poles")
+        main_t = _char_factor(c_abs, r) * far_t
+        err_t = lhs_mean.error + _char_factor(c_abs, r) * far_mean.error
+        used_t = lhs_t - main_t - const_t
         rows.append(
-            shift_inequality_check(
-                model, c, r, of=of, tol_unit=tol_unit, _base_cache=cache
+            ShiftCheckRow(
+                r=r,
+                c=c,
+                counting_kind=kind,
+                counting_lhs=lhs_n,
+                counting_main=main_n,
+                counting_slack_used=used_n,
+                counting_ok=used_n <= LOG2,
+                char_lhs=lhs_t,
+                char_main=main_t,
+                char_slack_used=used_t,
+                char_ok=used_t <= LOG2 + err_t,
+                quad_error=err_t,
             )
         )
     return rows
@@ -805,20 +998,30 @@ def verify_logdiff_bound(
         raise ValueError("delta must lie in (0, 1/2)")
     c_abs = abs(c)
     grid = geometric_grid(r_min, horizon, ratio)
+    samples, t_err = _characteristic_prefix(model, grid, tol_unit)
+    rhs_all = [logdiff_bound_rhs(s.T, r, c_abs, delta, eps) for s, r in zip(samples, grid)]
+    quotient = Quotient(Shifted(model, c), model)
+    m_means, m_err = _proximity_prefix(
+        quotient, [r for r, rhs in zip(grid, rhs_all) if rhs is not None], tol_unit
+    )
     rows = []
     skipped = []
     failing = []
     pressures = []
-    for r in grid:
-        sample = characteristic_T(model, r, tol_unit=tol_unit)
-        rhs = logdiff_bound_rhs(sample.T, r, c_abs, delta, eps)
+    for i, r in enumerate(grid):
+        # raise what a scan in radius order, T before m, meets first
+        if i == len(samples):
+            raise t_err
+        rhs = rhs_all[i]
         if rhs is None:
             skipped.append(r)
             failing.append(False)
             continue
-        lt = math.log(sample.T)
+        lt = math.log(samples[i].T)
         pressures.append(math.log(r) ** (1.0 + eps) * lt / r)
-        lhs = log_diff_m(model, c, r, tol_unit=tol_unit).value
+        if len(rows) == len(m_means):
+            raise m_err
+        lhs = m_means[len(rows)].value
         ok = lhs <= rhs
         rows.append((r, lhs, rhs, ok))
         failing.append(not ok)

@@ -5,8 +5,8 @@ Configuration layers: built-in defaults, then `key = value` lines from
 fixed configuration (no timestamps, exact summation, fixed float format).
 
 Exit codes: 0 all checks pass, 1 operational error (bad input, unreadable
-file), 2 mathematical rejection (inadmissible equation, refused reduction,
-failed hard assertion).
+file, numerical breakdown), 2 mathematical rejection (inadmissible equation,
+refused reduction, failed hard assertion).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class RunConfig:
     tol_unit: float = 1e-8
     out: Optional[str] = None
     fmt: str = "text"
-    seed: int = 0
     dry_run: bool = False
 
     def dump(self) -> str:
@@ -116,14 +115,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     layers.append(flag_layer)
     for layer in layers:
         for key, value in layer.items():
-            if not hasattr(cfg, key):
-                continue
-            if isinstance(value, str) and key in _FIELD_TYPES:
+            if key not in _FIELD_TYPES or key == "subcommand":
+                raise ValueError(f"unknown config key {key!r}")
+            if isinstance(value, str):
                 value = _coerce(key, value)
             setattr(cfg, key, value)
     for name, value in vars(cfg).items():
         if isinstance(value, float) and not abs(value) < float("inf"):  # nan too
             raise ValueError(f"{name} must be finite, got {value}")
+    if not cfg.tol_unit > 0:
+        raise ValueError(f"tol_unit must be positive, got {cfg.tol_unit}")
     return cfg
 
 
@@ -403,8 +404,8 @@ def cmd_polechain(cfg: RunConfig) -> int:
 def cmd_characteristic(cfg: RunConfig) -> int:
     model = charfn.model_from_spec(cfg.model)
     lines = ["r,m,N,T,err"]
-    for r in growth.geometric_grid(cfg.r_min, cfg.r_max, cfg.ratio):
-        s = charfn.characteristic_T(model, r, tol_unit=cfg.tol_unit)
+    grid = growth.geometric_grid(cfg.r_min, cfg.r_max, cfg.ratio)
+    for s in charfn.characteristic_samples(model, grid, tol_unit=cfg.tol_unit):
         lines.append(
             f"{_fmt(s.r)},{_fmt(s.m)},{_fmt(s.N)},{_fmt(s.T)},{_fmt(s.quad_error)}"
         )
@@ -429,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
         p.add_argument("--json", dest="fmt", action="store_const", const="json")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--dry-run", dest="dry_run", action="store_true", default=None)
         p.add_argument("--tol-unit", dest="tol_unit", type=float, default=None)
 
@@ -526,6 +526,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DISPATCH[cfg.subcommand](cfg)
     except (ParseError, ValueError, OSError, poleprop.Overflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return OPERATIONAL_ERROR
+    except charfn.NumericalBreakdown as exc:
+        sys.stderr.write(f"error: numerical: {exc}\n")
         return OPERATIONAL_ERROR
     except (clunie.ClunieError, charfn.CharFnError, growth.GrowthError) as exc:
         sys.stderr.write(f"rejected: {exc}\n")

@@ -174,9 +174,20 @@ def sampled_from_function(
     return SampledGrowth(grid, [fn(r) for r in grid])
 
 
+# radii in the largest grid a scan builds
+MAX_GRID_RADII = 10**6
+
+
 def geometric_grid(r_min: float, r_max: float, ratio: float) -> List[float]:
     if ratio <= 1:
         raise ValueError("grid ratio must exceed 1")
+    if r_min <= 0:
+        raise ValueError(f"grid start must be positive, got {r_min}")
+    if r_max > r_min and math.log(r_max / r_min) / math.log(ratio) > MAX_GRID_RADII:
+        raise ValueError(
+            f"grid from {r_min:g} to {r_max:g} at ratio {ratio} needs more than "
+            f"{MAX_GRID_RADII} radii; use a larger ratio"
+        )
     out = []
     r = r_min
     while r < r_max:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -139,9 +140,69 @@ def test_proximity_double_exponential_shift_factor():
 
 def test_proximity_error_bounds_doubled_run():
     for model, r in ((EXP_Z, 37.0), (INV_SHIFT, 9.0), (cf.ExpExp(), 4.0)):
-        a = cf._circle_mean_pos(model, r, base_panels=64)
-        b = cf._circle_mean_pos(model, r, base_panels=128)
+        a = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=64)[0]
+        b = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=128)[0]
         assert abs(a.value - b.value) <= a.error + b.error + 1e-15
+
+
+NEAR_POLES = cf.RationalFn((F1,), (F(-25), F0, F1))  # 1/(z^2 - 25)
+SMALL_RING = cf.CanonicalProduct(((8.0, 5), (16.0, 300)))  # ring 8 seeds angles
+QUADRATIC = cf.RationalFn((F(-2), F0, F1), (F0, F0, F(-1), F1))
+
+
+def _grid(lo, hi, n):
+    return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
+
+
+BLOCK_CASES = [
+    (NEAR_POLES, _grid(3.0, 7.0, 20) + [4.99, 5.01]),
+    (cf.ExpPoly((F0, F1, F(1, 3))), _grid(0.5, 30.0, 24)),
+    (cf.ExpExp(), _grid(0.5, 8.0, 24)),
+    (SMALL_RING, _grid(6.0, 20.0, 24)),
+    (cf.Shifted(SMALL_RING, 2 + 1j), _grid(6.0, 20.0, 24)),
+    (cf.Quotient(cf.Shifted(QUADRATIC, 1j), QUADRATIC), _grid(0.9, 1e4, 24)),
+    (cf.PowerModel(NEAR_POLES, -2), _grid(3.0, 7.0, 20) + [4.99, 5.01]),
+]
+
+
+@pytest.mark.parametrize(
+    "model, radii", BLOCK_CASES, ids=[model.label[:30] for model, _ in BLOCK_CASES]
+)
+def test_circle_means_block_matches_each_circle_alone(model, radii):
+    block = cf.circle_means(model, radii, tol_unit=1e-8)
+    alone = [cf.circle_means(model, [r], tol_unit=1e-8)[0] for r in radii]
+    for got, want in zip(block, alone):
+        assert got.radius == want.radius
+        assert got.value == want.value
+        assert got.error == want.error
+        assert got.evaluations == want.evaluations
+    # the radii span several blocks and mix long refinements with short ones
+    assert len(radii) * (257 + 3 * 64) > cf._BLOCK_POINTS
+    evaluations = [m.evaluations for m in block]
+    assert max(evaluations) > min(evaluations)
+
+
+def test_block_raises_for_the_first_failing_radius_in_order():
+    # alone, r = 4.95 exhausts the budget in fewer rounds than r = 4.9
+    radii = [3.0, 4.9, 4.95, 6.0]
+    with pytest.raises(cf.QuadratureNonConvergence, match=r"at r=4\.9 "):
+        cf.circle_means(NEAR_POLES, radii, tol_unit=1e-8, max_panels=200)
+    with pytest.raises(cf.QuadratureNonConvergence, match=r"at r=4\.95 "):
+        cf.circle_means(NEAR_POLES, [3.0, 4.95, 6.0], tol_unit=1e-8, max_panels=200)
+
+
+def test_budget_applies_only_to_circles_still_refining():
+    # alone, r = 4.95 ends over the budget of 4 * 266 evaluations one round
+    # before r = 4.92 ends
+    means = cf.circle_means(NEAR_POLES, [4.95, 4.92], tol_unit=1e-8, max_panels=266)
+    assert means[0].evaluations > 4 * 266
+
+
+def test_overflowing_integrand_is_a_numerical_breakdown():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.NumericalBreakdown, match=r"r=800\b"):
+            cf.circle_means(cf.ExpExp(), [5.0, 800.0, 900.0], tol_unit=1e-8)
 
 
 def test_pole_on_circle_perturbs():

@@ -93,6 +93,7 @@ def test_dry_run_prints_config(capsys):
     assert code == 0
     assert "subcommand = shift-check" in out
     assert "r_min = 20.0" in out
+    assert "seed" not in out
 
 
 def test_config_file_layering(tmp_path, capsys):
@@ -189,6 +190,35 @@ def test_non_finite_config_rejected(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert err == f"error: {field} must be finite, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["logdiff-check", "--model", "exp:z", "--ratio", "1.0000000001",
+          "--horizon", "1e3"], "ratio 1.0000000001"),
+        (["characteristic", "--model", "exp:z", "--r-min", "0"], "grid start"),
+        (["logdiff-check", "--model", "exp:z", "--tol-unit", "0"], "tol_unit"),
+        (["logdiff-check", "--model", "exp:z", "--tol-unit", "-1"], "tol_unit"),
+        (["logdiff-check", "--model", "expexp", "--r-min", "700", "--horizon", "800"],
+         "numerical: non-finite integrand at r=735"),
+    ],
+)
+def test_refused_inputs_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r_mni = 5\n", encoding="utf-8")
+    code, out, err = run(capsys, "shift-check", "--model", "expexp", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown config key 'r_mni'\n"
 
 
 def test_characteristic_csv(capsys):
