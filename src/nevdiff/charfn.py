@@ -972,7 +972,10 @@ def logdiff_bound_rhs(t_value: float, r: float, c_abs: float, delta: float, eps:
     if t_value <= math.e:
         return None
     lt = math.log(t_value)
-    window = (math.log(lt) ** (1.0 + eps)) * lt / r
+    try:
+        window = (math.log(lt) ** (1.0 + eps)) * lt / r
+    except OverflowError:
+        raise NumericalBreakdown(f"log-difference bound overflows at r={r:g}") from None
     return BOUND_CONSTANT * (1.0 + c_abs) * window**delta * t_value
 
 
@@ -1203,8 +1206,10 @@ def model_from_spec(spec: str) -> MeromorphicModel:
             raise ValueError("shift wrapper needs shift:c:<model>")
         return Shifted(model_from_spec(tail), _parse_shift_constant(head))
     if text.startswith("rational:"):
-        body = text[len("rational:") :]
-        return _parse_rational_spec(body)
+        from .eqparse import parse_braced_quotient
+
+        num, den = parse_braced_quotient(text[len("rational:") :])
+        return RationalFn(tuple(Fraction(c) for c in num), tuple(Fraction(c) for c in den))
     if text.startswith("product:"):
         body = text[len("product:") :]
         s_val, n1_val = 2, 1
@@ -1220,7 +1225,9 @@ def model_from_spec(spec: str) -> MeromorphicModel:
         return model
     if text.startswith("exp:"):
         body = text[len("exp:") :]
-        coeffs = _parse_zpoly_text(body)
+        from .eqparse import parse_zpoly
+
+        coeffs = parse_zpoly(body)
         return ExpPoly(tuple(Fraction(c) for c in coeffs))
     if text == "expexp":
         return ExpExp()
@@ -1228,47 +1235,7 @@ def model_from_spec(spec: str) -> MeromorphicModel:
 
 
 def _parse_shift_constant(text: str) -> complex:
-    from .eqparse import _Ctx, _Parser
+    from .eqparse import parse_shift_constant
 
-    parser = _Parser("w(z+" + text + ")", _Ctx())
-    poly = parser.parse_poly()
-    del poly
-    ctx = parser.ctx
-    if len(ctx.shift_order) != 1:
-        raise ValueError(f"bad shift constant {text!r}")
-    re, im = ctx.shift_order[0]
+    re, im = parse_shift_constant(text)
     return complex(re) + 1j * complex(im)
-
-
-def _parse_rational_spec(body: str) -> RationalFn:
-    from .eqparse import _Ctx, _Parser
-
-    parser = _Parser(body, _Ctx())
-    num = parser._braced_ratfun()
-    den_poly: Tuple[int, ...] = (1,)
-    num_poly = num.num
-    extra_den = num.den
-    if parser.at_op("/"):
-        parser.take()
-        den = parser._braced_ratfun()
-        den_poly = den.num
-        if den.den != (1,):
-            raise ValueError("nested denominators in rational spec")
-    if parser.peek().kind != "END":
-        raise ValueError(f"trailing input in rational spec {body!r}")
-    from .zfield import zp_mul
-
-    den_full = zp_mul(den_poly, extra_den)
-    return RationalFn(
-        tuple(Fraction(c) for c in num_poly), tuple(Fraction(c) for c in den_full)
-    )
-
-
-def _parse_zpoly_text(text: str) -> Tuple[int, ...]:
-    from .eqparse import _Ctx, _Parser
-
-    parser = _Parser("{" + text + "}", _Ctx())
-    rf = parser._braced_ratfun()
-    if rf.den != (1,):
-        raise ValueError("exponent polynomial cannot have a denominator")
-    return rf.num

@@ -12,6 +12,7 @@ refused reduction, failed hard assertion).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -417,6 +418,7 @@ def cmd_characteristic(cfg: RunConfig) -> int:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nevdiff",

@@ -16,6 +16,8 @@ words.  Parsing is total: any input yields an equation or a `ParseError`.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -29,14 +31,21 @@ from .diffpoly import (
 )
 from .zfield import (
     RZ_ONE,
+    RZ_ZERO,
     RatZ,
     ZP_ONE,
+    ZP_ZERO,
+    ZPoly,
+    prs_last,
     ratz,
     zp_add,
+    zp_divexact,
+    zp_gcd,
     zp_mul,
     zp_neg,
     zp_normal,
     zp_pow,
+    zp_sub,
 )
 
 RESERVED = {"w", "z", "i"}
@@ -649,8 +658,6 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
 
 
 def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:
-    from .zfield import RZ_ZERO
-
     deg = max(idx[0] for _, idx in p.terms)
     out = [RZ_ZERO] * (deg + 1)
     for coeff, idx in p.terms:
@@ -658,28 +665,71 @@ def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:
     return out
 
 
-def _wpoly_gcd_degree(a: List[RatZ], b: List[RatZ]) -> int:
-    def trim(p):
-        p = list(p)
-        while p and p[-1].is_zero:
-            p.pop()
-        return p
+def _clear_denominators(p: List[RatZ]) -> List[ZPoly]:
+    """p times the product of its coefficients' distinct denominators: a
+    polynomial in w over Z[z]."""
+    mult = functools.reduce(zp_mul, {c.den for c in p})
+    return [zp_mul(c.num, zp_divexact(mult, c.den)) for c in p]
 
-    fa, fb = trim(a), trim(b)
-    while fb:
-        # remainder of fa mod fb over the field of rational functions
-        r = list(fa)
-        while len(r) >= len(fb):
-            factor = r[-1] / fb[-1]
-            shift_by = len(r) - len(fb)
-            for i, cb in enumerate(fb):
-                r[shift_by + i] = r[shift_by + i] - factor * cb
-            r.pop()
-            r = trim(r)
-            if not r:
-                break
-        fa, fb = fb, trim(r)
-    return len(fa) - 1
+
+def _w_primitive(p: List[ZPoly]) -> List[ZPoly]:
+    """p divided by its content in Z[z], the gcd of its coefficients."""
+    k = math.gcd(*(x for c in p for x in c))
+    g = functools.reduce(zp_gcd, (c for c in p if c), ZP_ZERO)
+    return [zp_divexact(tuple(x // k for x in c), g) for c in p]
+
+
+def _wpoly_gcd_degree(a: List[RatZ], b: List[RatZ]) -> int:
+    """Degree in w of gcd(a, b) over the field of rational functions in z;
+    a and b have no trailing zeros."""
+    g = prs_last(
+        _w_primitive(_clear_denominators(a)),
+        _w_primitive(_clear_denominators(b)),
+        zp_mul,
+        zp_sub,
+        _w_primitive,
+    )
+    return len(g) - 1
+
+
+# ---------------------------------------------------------------------------
+# parse helpers for the model mini-language of `charfn`
+
+
+def parse_shift_constant(text: str) -> Tuple[Fraction, Fraction]:
+    """(re, im) of a shift literal such as `1`, `i`, `2+i` or `1/3-2/5*i`."""
+    parser = _Parser("w(z+" + text + ")", _Ctx())
+    parser.parse_poly()
+    if len(parser.ctx.shift_order) != 1:
+        raise ValueError(f"bad shift constant {text!r}")
+    return parser.ctx.shift_order[0]
+
+
+def parse_zpoly(text: str) -> ZPoly:
+    """An integer polynomial in z written as inside braces, e.g. `z^2-1`."""
+    rf = _Parser("{" + text + "}", _Ctx())._braced_ratfun()
+    if rf.den != ZP_ONE:
+        raise ValueError("exponent polynomial cannot have a denominator")
+    return rf.num
+
+
+def parse_braced_quotient(text: str) -> Tuple[ZPoly, ZPoly]:
+    """Numerator and denominator of `{a}` or `{a}/{b}`, b a polynomial in z.
+
+    a's own denominator multiplies b; nothing is cancelled.
+    """
+    parser = _Parser(text, _Ctx())
+    num = parser._braced_ratfun()
+    den = ZP_ONE
+    if parser.at_op("/"):
+        parser.take()
+        rf = parser._braced_ratfun()
+        if rf.den != ZP_ONE:
+            raise ValueError("nested denominators in rational spec")
+        den = rf.num
+    if parser.peek().kind != "END":
+        raise ValueError(f"trailing input in rational spec {text!r}")
+    return num.num, zp_mul(den, num.den)
 
 
 # ---------------------------------------------------------------------------

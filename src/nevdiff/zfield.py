@@ -2,16 +2,16 @@
 
 A polynomial is a tuple of integer coefficients in ascending order of power,
 with no trailing zeros; the empty tuple is the zero polynomial.  A rational
-function is a reduced pair num/den of such tuples.  Everything here is exact:
-no floats enter until `RatZ.evaluate`.
+function is a reduced pair num/den of such tuples.  Everything here is exact
+and integer-only (fraction-free): no floats enter until `RatZ.evaluate`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
 
 ZPoly = Tuple[int, ...]
 
@@ -78,73 +78,82 @@ def zp_eval(a: ZPoly, z: complex) -> complex:
     return acc
 
 
-def zp_content(a: ZPoly) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    return g
-
-
 def zp_primitive(a: ZPoly) -> ZPoly:
     """Divide out the content; leading coefficient made positive."""
     if not a:
         return ZP_ZERO
-    g = zp_content(a)
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
     return tuple(c // g for c in a)
 
 
-def _frac_divmod(a: list, b: list) -> tuple:
-    # Division with remainder over Q; inputs are Fraction lists, ascending.
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] += factor
-        for i, cb in enumerate(b):
-            r[shift + i] -= factor * cb
-        r.pop()
-    return q, r
+C = TypeVar("C")
+
+
+def prs_last(
+    a: Sequence[C],
+    b: Sequence[C],
+    mul: Callable[[C, C], C],
+    sub: Callable[[C, C], C],
+    primitive: Callable[[List[C]], Sequence[C]],
+) -> Sequence[C]:
+    """Last nonzero term of the primitive pseudo-remainder sequence of a, b.
+
+    a and b are ascending coefficient lists over an integral domain D with no
+    trailing zeros (a coefficient is zero when it is falsy); `primitive`
+    divides a list by its content in D.  The result is a gcd of a and b over
+    the fraction field of D, up to a unit.  The sequence stops at the first
+    nonzero constant remainder, where the gcd is already known to be a unit
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return b
+        lead, db = b[-1], len(b) - 1
+        r = list(a)
+        while len(r) > db:
+            top = r.pop()
+            shift = len(r) - db
+            r = [mul(lead, x) for x in r]
+            for i in range(db):
+                r[shift + i] = sub(r[shift + i], mul(top, b[i]))
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, primitive(r)
+    return a
 
 
 def zp_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """Primitive gcd with positive leading coefficient."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while any(fb):
-        _, rem = _frac_divmod(fa, fb)
-        while rem and rem[-1] == 0:
-            rem.pop()
-        fa, fb = fb, rem
-    if not any(fa):
-        return ZP_ZERO
-    # clear denominators, then primitivize
-    denom = math.lcm(*(f.denominator for f in fa))
-    ints = zp_normal(int(f * denom) for f in fa)
-    return zp_primitive(ints)
+    return prs_last(zp_primitive(a), zp_primitive(b), operator.mul, operator.sub, zp_primitive)
 
 
 def zp_divexact(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Exact quotient a/b; raises if b does not divide a over Q."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    q, rem = _frac_divmod(fa, fb)
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    out = []
-    for f in q:
-        if f.denominator != 1:
+    """Exact quotient a/b in Z[z]; raises if b does not divide a there.
+
+    For a primitive b this is division over Q: by Gauss's lemma the quotient
+    of an exact division is then integral.
+    """
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
+        top = r.pop()
+        if not top:
+            continue
+        k, m = divmod(top, lead)
+        if m:
             raise ArithmeticError("quotient not integral")
-        out.append(int(f))
-    return zp_normal(out)
+        shift = len(r) - db
+        q[shift] = k
+        for i in range(db):
+            r[shift + i] -= k * b[i]
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return zp_normal(q)
 
 
 def zp_text(a: ZPoly) -> str:
@@ -226,11 +235,12 @@ def ratz(num: Iterable[int], den: Iterable[int] = (1,)) -> RatZ:
         raise ZeroDivisionError("zero denominator")
     if not n:
         return RatZ(ZP_ZERO, ZP_ONE)
-    g = zp_gcd(n, d)
-    if zp_degree(g) > 0 or zp_content(g) > 1:
-        n = zp_divexact(n, g)
-        d = zp_divexact(d, g)
-    c = math.gcd(zp_content(n), zp_content(d))
+    if len(n) > 1 and len(d) > 1:
+        g = zp_gcd(n, d)
+        if len(g) > 1:
+            n = zp_divexact(n, g)
+            d = zp_divexact(d, g)
+    c = math.gcd(*n, *d)
     if d[-1] < 0:
         c = -c
     n = tuple(x // c for x in n)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nevdiff.cli import main
+from nevdiff.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,6 +202,8 @@ def test_non_finite_config_rejected(capsys, argv, field):
         (["logdiff-check", "--model", "exp:z", "--tol-unit", "-1"], "tol_unit"),
         (["logdiff-check", "--model", "expexp", "--r-min", "700", "--horizon", "800"],
          "numerical: non-finite integrand at r=735"),
+        (["logdiff-check", "--model", "exp:z", "--eps", "1e300", "--horizon", "100"],
+         "numerical: log-difference bound overflows at r="),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -267,3 +269,18 @@ def test_byte_identical_reports(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # The parser is built once per process; a flag of one call must not
+    # reach the next.
+    a = ["classify", "--eq", "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1) = ({z^2}*w^2+{1})/(w+{z})"]
+    b = ["classify", "--json", "--eq", BENCH_EQ]
+    warm = [run(capsys, *argv) for argv in (a, b, a)]
+    fresh = []
+    for argv in (a, b, a):
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert warm == fresh
+    assert warm[0] == warm[2] and warm[0][1].startswith("equation: ")
+    assert json.loads(warm[1][1])["verdict"]["admissible"] is True

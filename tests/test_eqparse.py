@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from nevdiff.eqparse import (
     ParseError,
     ShiftInUQ,
     ZeroShift,
+    parse_braced_quotient,
     parse_equation,
     parse_polynomial,
+    parse_shift_constant,
+    parse_zpoly,
     to_canonical_text,
     validate_no_common_factors,
 )
@@ -169,3 +173,19 @@ def test_parse_total_on_grammar_alphabet(text):
 def test_polynomial_parser_rejects_equation():
     with pytest.raises(EquationSyntaxError):
         parse_polynomial("w = w")
+
+
+def test_model_language_helpers():
+    assert parse_shift_constant("1/3-2/5*i") == (Fraction(1, 3), Fraction(-2, 5))
+    assert parse_zpoly("z^2-1") == (-1, 0, 1)
+    # {a}/{b}: a's denominator moves into b, nothing cancels
+    assert parse_braced_quotient("{(z+1)/(z-2)}/{z}") == ((1, 1), (0, -2, 1))
+    assert parse_braced_quotient("{z}") == ((0, 1), (1,))
+    with pytest.raises(ValueError, match="cannot have a denominator"):
+        parse_zpoly("1/z")
+    with pytest.raises(ValueError, match="nested denominators"):
+        parse_braced_quotient("{1}/{1/z}")
+    with pytest.raises(ValueError, match="trailing input"):
+        parse_braced_quotient("{z}x")
+    with pytest.raises(ZeroShift):
+        parse_shift_constant("0")
