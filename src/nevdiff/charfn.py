@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,16 +59,22 @@ class NumericalBreakdown(CharFnError):
     """The integrand left the float range (NaN or +inf) on a circle."""
 
 
-class Overflow(CharFnError):
-    """A product level wants more zeros than the configured cap."""
-
-
 # ---------------------------------------------------------------------------
 # models
 
 
-# (|z - offset|, multiplicity) float arrays of a divisor's points
-Magnitudes = Tuple[np.ndarray, np.ndarray]
+class Ring(NamedTuple):
+    """The n points R e^{2 pi i j/n} - offset, each of multiplicity mult."""
+
+    R: float
+    n: int
+    mult: float
+    offset: complex
+
+
+# a divisor of one kind: (|z - offset|, multiplicity) float arrays of its
+# points, and its rings, which are counted in closed form
+Divisor = Tuple[np.ndarray, np.ndarray, Tuple[Ring, ...]]
 
 
 class MeromorphicModel:
@@ -85,13 +91,14 @@ class MeromorphicModel:
     def poles(self, radius: float) -> List[Tuple[complex, int]]:
         return []
 
-    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
-        """Magnitudes of the whole finite zero ("zeros") or pole ("poles")
-        divisor moved by -offset, in no particular order."""
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
+        """The whole finite zero ("zeros") or pole ("poles") divisor moved
+        by -offset, points in no particular order."""
         pts = self.zeros(math.inf) if kind == "zeros" else self.poles(math.inf)
         return (
             np.array([abs(z - offset) for z, _ in pts], dtype=float),
             np.array([m for _, m in pts], dtype=float),
+            (),
         )
 
     def band_error(self, r: float, offset: complex = 0j) -> float:
@@ -270,6 +277,10 @@ class CanonicalProduct(MeromorphicModel):
         return out
 
     def zeros(self, radius: float) -> List[Tuple[complex, int]]:
+        inside = sum(nk for rk, nk in self.levels if rk <= radius)
+        if inside > _DIRECT_MAX:
+            raise ValueError(f"listing the {inside} zeros in |z| <= {radius:g} "
+                             f"exceeds {_DIRECT_MAX} points")
         pts: List[Tuple[complex, int]] = []
         for rk, nk in self.levels:
             if rk <= radius:
@@ -278,21 +289,24 @@ class CanonicalProduct(MeromorphicModel):
                     pts.append((rk * complex(math.cos(a), math.sin(a)), 1))
         return pts
 
-    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         if kind == "poles":
-            return np.array([], dtype=float), np.array([], dtype=float)
+            return np.zeros(0), np.zeros(0), ()
         if offset == 0:
-            # one block per ring: all n_k zeros sit at |z| = r_k
-            return (
-                np.array([rk for rk, _ in self.levels], dtype=float),
-                np.array([nk for _, nk in self.levels], dtype=float),
-            )
-        parts = []
-        for rk, nk in self.levels:
-            angles = TWO_PI * np.arange(nk) / nk
-            parts.append(np.abs(rk * np.exp(1j * angles) - offset))
-        mags = np.concatenate(parts)
-        return mags, np.ones_like(mags)
+            # one point per ring: all n_k zeros sit at |z| = r_k
+            mags, mults = np.array(self.levels, dtype=float).T
+            return mags, mults, ()
+        # the series of a ring with R/2 < |offset| < 2R converges too
+        # slowly, so such a ring goes into the point index instead
+        near = [(rk, nk) for rk, nk in self.levels if 0.5 < abs(offset) / rk < 2.0]
+        if any(nk > _DIRECT_MAX for _, nk in near):
+            raise ValueError(f"counting a ring of more than {_DIRECT_MAX} points shifted "
+                             f"by |c|={abs(offset):g} needs |c| <= R/2 or |c| >= 2R")
+        mags = np.concatenate([np.zeros(0)] + [
+            np.abs(rk * np.exp(1j * (TWO_PI * np.arange(nk) / nk)) - offset) for rk, nk in near
+        ])
+        rings = tuple(Ring(rk, nk, 1.0, offset) for rk, nk in self.levels if (rk, nk) not in near)
+        return mags, np.ones_like(mags), rings
 
     def band_error(self, r: float, offset: complex = 0j) -> float:
         total = 0.0
@@ -394,8 +408,8 @@ class Shifted(MeromorphicModel):
             if abs(z - self.c) <= radius
         ]
 
-    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
-        return self.base.divisor_magnitudes(kind, offset + self.c)
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
+        return self.base.divisor_blocks(kind, offset + self.c)
 
     def band_error(self, r: float, offset: complex = 0j) -> float:
         return self.base.band_error(r, offset + self.c)
@@ -459,10 +473,11 @@ class PowerModel(MeromorphicModel):
         src = self.base.poles(radius) if self.k > 0 else self.base.zeros(radius)
         return [(z, abs(self.k) * m) for z, m in src]
 
-    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         base_kind = kind if self.k > 0 else _OTHER_KIND[kind]
-        mags, mults = self.base.divisor_magnitudes(base_kind, offset)
-        return mags, abs(self.k) * mults
+        mags, mults, rings = self.base.divisor_blocks(base_kind, offset)
+        k = abs(self.k)
+        return mags, k * mults, tuple(ring._replace(mult=k * ring.mult) for ring in rings)
 
     def band_error(self, r: float, offset: complex = 0j) -> float:
         return abs(self.k) * self.base.band_error(r, offset)
@@ -491,10 +506,10 @@ class Quotient(MeromorphicModel):
     def poles(self, radius: float) -> List[Tuple[complex, int]]:
         return self.num.poles(radius) + self.den.zeros(radius)
 
-    def divisor_magnitudes(self, kind: str, offset: complex = 0j) -> Magnitudes:
-        num_mags, num_mults = self.num.divisor_magnitudes(kind, offset)
-        den_mags, den_mults = self.den.divisor_magnitudes(_OTHER_KIND[kind], offset)
-        return np.concatenate([num_mags, den_mags]), np.concatenate([num_mults, den_mults])
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
+        num = self.num.divisor_blocks(kind, offset)
+        den = self.den.divisor_blocks(_OTHER_KIND[kind], offset)
+        return np.concatenate([num[0], den[0]]), np.concatenate([num[1], den[1]]), num[2] + den[2]
 
     def band_error(self, r: float, offset: complex = 0j) -> float:
         return self.num.band_error(r, offset) + self.den.band_error(r, offset)
@@ -710,10 +725,10 @@ def _block_means(
 
 @lru_cache(maxsize=512)
 def _counting_arrays(model: MeromorphicModel, kind: str):
-    """One index over the model's whole divisor of one kind: sorted
+    """One index over the model's whole divisor of one kind: sorted point
     magnitudes with prefix sums for O(log n) counting queries at any radius,
-    plus the multiplicity at the origin."""
-    mags, mults = model.divisor_magnitudes(kind)
+    the multiplicity at the origin, and the rings, counted in closed form."""
+    mags, mults, rings = model.divisor_blocks(kind)
     at_origin = mags <= 1e-12
     n0 = float(mults[at_origin].sum())
     mags, mults = mags[~at_origin], mults[~at_origin]
@@ -722,7 +737,7 @@ def _counting_arrays(model: MeromorphicModel, kind: str):
     mags, mults = mags[order], mults[order]
     prefix_m = np.concatenate([[0.0], np.cumsum(mults)])
     prefix_mlog = np.concatenate([[0.0], np.cumsum(mults * np.log(mags))])
-    return mags, prefix_m, prefix_mlog, n0
+    return mags, prefix_m, prefix_mlog, n0, rings
 
 
 def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
@@ -731,10 +746,71 @@ def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
         raise ValueError("counting is reported for r >= 1")
     if of not in ("poles", "zeros"):
         raise ValueError("of must be 'poles' or 'zeros'")
-    mags, prefix_m, prefix_mlog, n0 = _counting_arrays(model, of)
+    mags, prefix_m, prefix_mlog, n0, rings = _counting_arrays(model, of)
     k = int(np.searchsorted(mags, r, side="right"))
     total = prefix_m[k] * math.log(r) - prefix_mlog[k]
-    return float(total + n0 * math.log(r))
+    return float(total + n0 * math.log(r)) + sum(
+        ring.mult * _ring_counting(ring, r) for ring in rings
+    )
+
+
+# a ring's series stops below _SERIES_TOL; no more than _DIRECT_MAX points
+# are ever materialised
+_SERIES_TOL, _DIRECT_MAX = 1e-19, 10_000_000
+
+
+def _arc(ring: Ring, r: float) -> Tuple[int, int]:
+    """(j0, L): the points a_j = R w^j - c (w = e^{2 pi i/n}) of the ring
+    with |a_j| < r are j = j0, ..., j0 + L - 1, up to points with |a_j| = r
+    within rounding, which add log(r/|a_j|) = 0 to the count."""
+    R, n, _, c = ring
+    ac = abs(c)
+    if r >= R + ac:
+        return 0, n
+    if r <= abs(R - ac):
+        return 0, 0
+    # |a_j| < r on one arc of angles around arg c
+    cos_half = (R * R + ac * ac - r * r) / (2.0 * R * ac)
+    half = math.acos(max(-1.0, min(1.0, cos_half))) * n / TWO_PI
+    mid = cmath.phase(c) * n / TWO_PI
+    j0 = math.ceil(mid - half)
+    return j0, min(n, math.floor(mid + half) - j0 + 1)
+
+
+def _sin_pi(p: int, n: int) -> float:
+    """sin(pi p/n), the angle reduced in integers so that it is exactly 0
+    at multiples of n and accurate to the last bit near them."""
+    p %= 2 * n
+    half = p % n
+    s = math.sin(math.pi * min(half, n - half) / n)
+    return -s if p >= n else s
+
+
+def _ring_counting(ring: Ring, r: float) -> float:
+    """Sum of log(r/|a_j|) over the points of the ring inside |z| < r."""
+    R, n, _, c = ring
+    j0, L = _arc(ring, r)
+    if L == 0:
+        return 0.0
+    # log|a_j| = log B - Re sum_k y^k w^(-jk) / k, with B = R and y = c/R
+    # when |c| <= R/2, B = |c| and y = R/conj(c) when |c| >= 2R; over the
+    # arc the sum of w^(-jk) is geometric
+    base, y = (R, c / R) if abs(c) < R else (abs(c), R / c.conjugate())
+    total = L * math.log(r / base)
+    terms = math.ceil(math.log(_SERIES_TOL) / math.log(abs(y)))
+    # over the whole ring only the k that n divides are left
+    step = n if L == n else 1
+    for k in range(step, terms + 1, step):
+        if k % n == 0:
+            geometric = L
+        else:
+            # e^(-i pi k (2 j0 + L - 1)/n) sin(pi k L/n) / sin(pi k/n)
+            phase = -k * (2 * j0 + L - 1) % (2 * n)
+            geometric = cmath.exp(1j * math.pi * phase / n) * (
+                _sin_pi(k * L, n) / _sin_pi(k, n)
+            )
+        total += (y**k * geometric).real / k
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -747,11 +823,15 @@ class CharacteristicSample:
 
 
 def _perturb_off_divisor(model: MeromorphicModel, r: float) -> float:
-    pole_mags = _counting_arrays(model, "poles")[0]
+    pole_mags, *_, rings = _counting_arrays(model, "poles")
     for _ in range(3):
-        # the first pole magnitude at or above r - 1e-12 r, if any, decides
-        k = pole_mags.searchsorted(r - 1e-12 * r)
-        if k == len(pole_mags) or pole_mags[k] > r + 1e-12 * r:
+        lo, hi = r - 1e-12 * r, r + 1e-12 * r
+        # the first pole magnitude at or above lo, if any, decides for the
+        # points; a ring has a pole in [lo, hi] if its arcs at lo and hi differ
+        k = pole_mags.searchsorted(lo)
+        if (k == len(pole_mags) or pole_mags[k] > hi) and not any(
+            _arc(ring, lo)[1] != _arc(ring, hi)[1] for ring in rings
+        ):
             return r
         r = r * (1.0 + 1e-9)
     raise PoleOnCircle(f"poles stayed on |z| = {r:g} after 3 nudges")
@@ -1052,14 +1132,15 @@ class ProductCertificate:
     rows: Tuple[Tuple[int, float, int, float, bool], ...]  # k, r_k, n_k, threshold, ok
     doubling_ok: bool
     base_ok: bool
-    finite_order_ok: bool  # log n_k / log r_k stays bounded on the built range
 
 
-def build_example_product(
-    s_max: int, n1: int = 1, *, cap: int = 10_000_000
-) -> Tuple[CanonicalProduct, ProductCertificate]:
+def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, ProductCertificate]:
     """Rings r_k = 8 * 2^(k-1); each n_k is the smallest integer strictly
-    above 4 r_k (log r_k)^2 * (sum of earlier counts)."""
+    above 4 r_k (log r_k)^2 * (sum of earlier counts).
+
+    Refuses the first level with log n_k / log r_k >= 8, before any later
+    n_k is computed, so the counts stay far inside the float range.
+    """
     if s_max < 1:
         raise ValueError("need at least one level")
     if n1 < 1:
@@ -1075,18 +1156,19 @@ def build_example_product(
         else:
             threshold = 4.0 * rk * math.log(rk) ** 2 * total
             nk = math.floor(threshold) + 1
-        if nk > cap:
-            raise Overflow(f"level {k} wants {nk} zeros (cap {cap})")
+        ratio = math.log(nk) / math.log(rk)
+        if ratio >= 8.0:
+            raise CharFnError(
+                f"finite-order guard: level {k} has log n_k / log r_k = {ratio:.3g} >= 8"
+            )
         levels.append((rk, nk))
         rows.append((k, rk, nk, threshold, nk > threshold))
         total += nk
         rk *= 2.0
-    ratios = [math.log(nk) / math.log(rk) for rk, nk in levels if nk > 1]
     cert = ProductCertificate(
         rows=tuple(rows),
         doubling_ok=all(b >= 2 * a for (a, _), (b, _) in zip(levels, levels[1:])),
         base_ok=levels[0][0] > 6.0,
-        finite_order_ok=(not ratios) or max(ratios) < 8.0,
     )
     return CanonicalProduct(tuple(levels)), cert
 
@@ -1138,52 +1220,6 @@ def example_product_report(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# finite-order shift residuals
-
-
-@dataclass(frozen=True)
-class ResidualFit:
-    rows: Tuple[Tuple[float, float], ...]  # r, residual
-    all_zero: bool
-    fitted_exponent: Optional[float]
-    order_estimate: float
-
-
-def shift_identity_finite_order(
-    model: MeromorphicModel,
-    c: complex,
-    horizon: float,
-    *,
-    of: str = "poles",
-    r_min: float = 4.0,
-    ratio: float = 1.3,
-) -> ResidualFit:
-    """Fit the decay exponent of N(r + |c|) - N(r) against r on a log grid."""
-    c_abs = abs(c)
-    grid = geometric_grid(max(r_min, 1.0 + 2.0 * c_abs), horizon, ratio)
-    rows = []
-    for r in grid:
-        resid = counting_N(model, r + c_abs, of=of) - counting_N(model, r, of=of)
-        rows.append((r, resid))
-    positive = [(r, v) for r, v in rows if v > 0]
-    n_tail = [counting_N(model, r, of=of) for r in grid[-5:]]
-    if n_tail[-1] > 1e-12:
-        order_estimate = max(
-            0.0,
-            (math.log(n_tail[-1]) - math.log(max(n_tail[0], 1e-12)))
-            / (math.log(grid[-1]) - math.log(grid[-5])),
-        )
-    else:
-        order_estimate = 0.0
-    if not positive:
-        return ResidualFit(tuple(rows), True, None, order_estimate)
-    xs = np.log([r for r, _ in positive])
-    ys = np.log([v for _, v in positive])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(positive) >= 2 else 0.0
-    return ResidualFit(tuple(rows), False, slope, order_estimate)
 
 
 # ---------------------------------------------------------------------------

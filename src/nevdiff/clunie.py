@@ -17,7 +17,6 @@ as an explicit token (never evaluated).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -560,11 +559,3 @@ def report_dict(
     if families is not None:
         out["families"] = [asdict(f) for f in families]
     return out
-
-
-def report_json(
-    prof: DegreeProfile,
-    v: Verdict,
-    families: Optional[Sequence[FamilySpec]] = None,
-) -> str:
-    return json.dumps(report_dict(prof, v, families), indent=2, sort_keys=True)

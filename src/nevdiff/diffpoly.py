@@ -156,10 +156,6 @@ def normalize(shifts: Sequence[Shift], terms: Sequence[Term]) -> DiffPolynomial:
     return DiffPolynomial(shifts, tuple(kept))
 
 
-def diff_poly(shifts: Sequence[Shift], terms: Sequence[Term]) -> DiffPolynomial:
-    return normalize(shifts, terms)
-
-
 def constant_poly(value: RatZ = RZ_ONE, shifts: Sequence[Shift] = ()) -> DiffPolynomial:
     width = 1 + len(shifts)
     return normalize(shifts, [(value, (0,) * width)])

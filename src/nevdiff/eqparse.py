@@ -699,15 +699,19 @@ def _wpoly_gcd_degree(a: List[RatZ], b: List[RatZ]) -> int:
 def parse_shift_constant(text: str) -> Tuple[Fraction, Fraction]:
     """(re, im) of a shift literal such as `1`, `i`, `2+i` or `1/3-2/5*i`."""
     parser = _Parser("w(z+" + text + ")", _Ctx())
-    parser.parse_poly()
-    if len(parser.ctx.shift_order) != 1:
-        raise ValueError(f"bad shift constant {text!r}")
+    parser.take()
+    parser._shift_suffix()
+    if parser.peek().kind != "END":
+        raise ValueError(f"trailing input in shift constant {text!r}")
     return parser.ctx.shift_order[0]
 
 
 def parse_zpoly(text: str) -> ZPoly:
     """An integer polynomial in z written as inside braces, e.g. `z^2-1`."""
-    rf = _Parser("{" + text + "}", _Ctx())._braced_ratfun()
+    parser = _Parser("{" + text + "}", _Ctx())
+    rf = parser._braced_ratfun()
+    if parser.peek().kind != "END":
+        raise ValueError(f"trailing input in polynomial {text!r}")
     if rf.den != ZP_ONE:
         raise ValueError("exponent polynomial cannot have a denominator")
     return rf.num

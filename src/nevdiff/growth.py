@@ -90,27 +90,6 @@ class PureExpGrowth(GrowthFunction):
     label = "exp"
 
 
-@dataclass(frozen=True)
-class CompositeGrowth(GrowthFunction):
-    mode: str  # "max" or "sum"
-    parts: Tuple[GrowthFunction, ...]
-
-    def value(self, r: float) -> float:
-        vals = [p.value(r) for p in self.parts]
-        return max(vals) if self.mode == "max" else sum(vals)
-
-    def log_value(self, r: float) -> float:
-        logs = [p.log_value(r) for p in self.parts]
-        top = max(logs)
-        if self.mode == "max":
-            return top
-        return top + math.log(math.fsum(math.exp(v - top) for v in logs))
-
-    @property
-    def label(self) -> str:
-        return self.mode + "(" + ",".join(p.label for p in self.parts) + ")"
-
-
 class SampledGrowth(GrowthFunction):
     """Tabulated growth data with log-log interpolation.
 
@@ -323,9 +302,6 @@ class ScanResult:
     skipped: Tuple[float, ...]  # grid points where a guard failed
     window_divergent: bool  # does the shift window grow along the grid?
     certified: bool
-
-    def as_tuple(self) -> Tuple[ExceptionSet, DensityReport]:
-        return self.exceptions, self.report
 
 
 def scan_additive_shift(

@@ -250,7 +250,3 @@ def ratz(num: Iterable[int], den: Iterable[int] = (1,)) -> RatZ:
 
 RZ_ZERO = RatZ(ZP_ZERO, ZP_ONE)
 RZ_ONE = RatZ(ZP_ONE, ZP_ONE)
-
-
-def ratz_const(k: int) -> RatZ:
-    return ratz((k,))

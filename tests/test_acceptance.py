@@ -235,10 +235,13 @@ def test_acceptance_08_product_example_window():
     assert all(r.smallness_ratio < thresholds["max_smallness_s2"] for r in rows2)
     m3, _ = cf.build_example_product(3, 1)
     rows3 = cf.example_product_report(m3, 3)
-    for a, b in zip(rows2, rows3):
-        assert b.separation_ratio > a.separation_ratio
-        assert b.smallness_ratio < a.smallness_ratio
-    done(8, "window ratios beat recorded thresholds; deeper product strictly improves", budget)
+    m4, _ = cf.build_example_product(4, 1)
+    rows4 = cf.example_product_report(m4, 4)
+    for shallow, deep in ((rows2, rows3), (rows3, rows4)):
+        for a, b in zip(shallow, deep):
+            assert b.separation_ratio > a.separation_ratio
+            assert b.smallness_ratio < a.smallness_ratio
+    done(8, "window ratios beat recorded thresholds; s=2 < s=3 < s=4 strictly on every row", budget)
 
 
 # -- 9 ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import cmath
 import math
 import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nevdiff import charfn as cf
@@ -113,6 +115,98 @@ def test_pole_ring_nudges_only_on_the_ring():
     quotient = cf.Quotient(cf.Shifted(PRODUCT3, 3.0), PRODUCT3)
     assert cf.proximity_m(quotient, 31.5).radius == 31.5
     assert cf.proximity_m(quotient, 32.0).radius == 32.0 * (1.0 + 1e-9)
+
+
+# rings of n = 1 and 3 points, where n divides k inside the series, of 492,
+# and of 5000 points, which the quadrature averages
+RINGS = cf.CanonicalProduct(((8.0, 1), (16.0, 3), (32.0, 492), (64.0, 5000)))
+# |c| < R/2 and |c| > 2R for every ring, and within a factor 2 of some ring,
+# which goes into the point index (c = 8 and 16 put a point at 0)
+SHIFTS = (1j, 3.0, 2.5 - 1.5j, 8.0, 16.0, 20 + 5j, 40.0, 100.0, 250 + 150j)
+
+
+def _crossing_radii(c):
+    """Radii across every ring crossing |R - |c|| < r < R + |c|, and just
+    either side of both ends."""
+    radii = []
+    for R, _ in RINGS.levels:
+        lo, hi = abs(R - abs(c)), R + abs(c)
+        radii += [lo + (hi - lo) * t / 24 for t in range(1, 24)]
+        radii += [edge * (1 + d) for edge in (lo, hi) for d in (-1e-9, 1e-9)]
+    return sorted(r for r in radii if r >= 1.0)
+
+
+@pytest.mark.parametrize("c", SHIFTS, ids=str)
+def test_ring_counting_matches_materialised_points(c):
+    # the closed form's absolute error is about 1e-16 L |log(r/R)| for an
+    # arc of L points, so a value that a barely entered arc makes near 0 is
+    # pinned to 1e-13 absolute
+    for model in (cf.Shifted(RINGS, c), cf.PowerModel(cf.Shifted(RINGS, c), -2)):
+        of = "zeros" if isinstance(model, cf.Shifted) else "poles"
+        pts = model.zeros(math.inf) if of == "zeros" else model.poles(math.inf)
+        mags = [(abs(z), m) for z, m in pts]
+        for r in _crossing_radii(c):
+            got = cf.counting_N(model, r, of=of)
+            want = math.fsum(
+                m * math.log(r / a) if a > 1e-12 else m * math.log(r) for a, m in mags if a <= r
+            )
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (of, r)
+
+
+@pytest.mark.parametrize("c", [2 + 1j, 3.0], ids=str)
+def test_ring_counting_on_the_separating_product(c):
+    # the s=3 product's ring of 757,963 zeros at 32, across its crossing
+    model = cf.Shifted(cf.build_example_product(3, 1)[0], c)
+    pts = model.zeros(math.inf)
+    mags = np.abs(np.array([z for z, _ in pts]))
+    lo, hi = 32.0 - abs(c), 32.0 + abs(c)
+    for r in [lo + (hi - lo) * t / 16 for t in range(1, 16)] + [hi * (1 + 1e-9)]:
+        got = cf.counting_N(model, r, of="zeros")
+        want = math.fsum(np.log(r / mags[mags <= r]).tolist())
+        assert got == pytest.approx(want, rel=1e-13), r
+
+
+def test_sin_pi_is_exact_at_multiples_of_n():
+    n = 757963
+    for p in (0, n, 2 * n, 63 * n, -5 * n):
+        assert cf._sin_pi(p, n) == 0.0
+    assert cf._sin_pi(63 * n + 1, n) == -math.sin(math.pi / n)
+    assert cf._sin_pi(n - 1, n) == math.sin(math.pi / n)
+
+
+def test_huge_ring_is_refused_where_it_would_be_materialised():
+    model, _ = cf.build_example_product(4)
+    # a ring of 3,358,333,174 zeros at 64 within a factor 2 of the shift
+    # would go into the point index
+    with pytest.raises(ValueError, match=r"needs \|c\| <= R/2 or \|c\| >= 2R"):
+        cf.counting_N(cf.Shifted(model, 40.0), 70.0, of="zeros")
+    # the same ring far from the shift is counted in closed form
+    assert math.isfinite(cf.counting_N(cf.Shifted(model, 3.0), 65.0, of="zeros"))
+    # listing its zeros, as a shift of a shift does for its seeds, is refused
+    with pytest.raises(ValueError, match="exceeds 10000000 points"):
+        model.zeros(64.0)
+    with pytest.raises(ValueError, match="exceeds 10000000 points"):
+        cf.Shifted(cf.Shifted(model, 1.0), 1.0).seed_angles(62.0)
+
+
+def test_shifted_pole_ring_nudges_only_on_the_ring():
+    # poles at 32 e^{2 pi i j/5000} - 3; j = 1250 sits at 32i - 3
+    model = cf.PowerModel(cf.Shifted(PRODUCT3, 3.0), -2)
+    through = abs(32j - 3.0)
+    assert cf.proximity_m(model, through).radius == through * (1.0 + 1e-9)
+    # the nearest point, 29, and the farthest, 35
+    assert cf.proximity_m(model, 29.0).radius == 29.0 * (1.0 + 1e-9)
+    assert cf.proximity_m(model, 35.0).radius == 35.0 * (1.0 + 1e-9)
+    # halfway between the magnitudes of points 1250 and 1251
+    between = 0.5 * (through + abs(32 * cmath.exp(2j * math.pi * 1251 / 5000) - 3.0))
+    assert cf.proximity_m(model, between).radius == between
+    # the same for a shift within a factor 2 of the ring, whose points are
+    # in the point index: j = 1250 sits at 32i - 20
+    model = cf.PowerModel(cf.Shifted(PRODUCT3, 20.0), -2)
+    through = abs(32j - 20.0)
+    assert cf.proximity_m(model, through).radius == through * (1.0 + 1e-9)
+    between = 0.5 * (through + abs(32 * cmath.exp(2j * math.pi * 1251 / 5000) - 20.0))
+    assert cf.proximity_m(model, between).radius == between
 
 
 # -- proximity ------------------------------------------------------------------
@@ -376,8 +470,16 @@ def test_build_product_counts_increase():
 
 
 def test_build_product_overflow():
-    with pytest.raises(cf.Overflow):
-        cf.build_example_product(4, 1)
+    # the finite-order guard refuses level 7 before n_8 is computed, so no
+    # depth can overflow a float
+    for s in (7, 10_000):
+        with pytest.raises(cf.CharFnError, match=r"level 7 has log n_k / log r_k = 8\.49 >= 8"):
+            cf.build_example_product(s, 1)
+    with pytest.raises(cf.CharFnError, match=r"level 1 has log n_k / log r_k = 9\.97"):
+        cf.build_example_product(2, 10**9)
+    model, cert = cf.build_example_product(4, 1)
+    assert model.levels[3] == (64.0, 3358333174)
+    assert all(ok for *_, ok in cert.rows)
 
 
 def test_product_report_degenerate_level_one():
@@ -401,27 +503,6 @@ def test_product_trend_improves_with_depth():
     for a, b in zip(rows2, rows3):
         assert b.separation_ratio > a.separation_ratio
         assert b.smallness_ratio < a.smallness_ratio
-
-
-# -- finite-order residuals ---------------------------------------------------------
-
-
-def test_residual_fit_simple_pole():
-    fit = cf.shift_identity_finite_order(INV_SHIFT, 1.0, 1e4)
-    assert not fit.all_zero
-    assert fit.fitted_exponent is not None and fit.fitted_exponent <= 0.0
-
-
-def test_residual_fit_polynomial_no_poles():
-    fit = cf.shift_identity_finite_order(Z_POLY, 1.0, 1e3, of="poles")
-    assert fit.all_zero
-
-
-def test_residual_fit_product_zeros():
-    prod, _ = cf.build_example_product(2, 1)
-    fit = cf.shift_identity_finite_order(prod, 1.0, 1e4, of="zeros")
-    assert fit.fitted_exponent is not None
-    assert fit.fitted_exponent < fit.order_estimate + 1.0
 
 
 # -- degree law under composition ------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,11 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "numerical: non-finite integrand at r=735"),
         (["logdiff-check", "--model", "exp:z", "--eps", "1e300", "--horizon", "100"],
          "numerical: log-difference bound overflows at r="),
+        (["characteristic", "--model", "exp:z}junk"], "trailing input in polynomial"),
+        (["shift-check", "--model", "expexp", "--c", "1)*w"],
+         "trailing input in shift constant '1)*w'"),
+        (["characteristic", "--model", "shift:1)*w:exp:z"],
+         "trailing input in shift constant '1)*w'"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -239,6 +245,38 @@ def test_product_example_thresholds(capsys):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("r,T_base,T_shifted")
+
+
+@pytest.mark.parametrize("levels", [4, 5, 6])
+def test_product_example_deep_levels(capsys, levels):
+    code, out, err = run(capsys, "product-example", "--levels", str(levels))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 8
+    for line in lines[1:7]:
+        assert all(math.isfinite(float(x)) for x in line.split(","))
+
+
+def test_product_example_past_the_finite_order_guard(capsys):
+    code, out, err = run(capsys, "product-example", "--levels", "7")
+    assert (code, out) == (2, "")
+    assert err == "rejected: finite-order guard: level 7 has log n_k / log r_k = 8.49 >= 8\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a shift of a shifted product lists the ring of 3,358,333,174
+        # zeros at 64 for its quadrature seeds
+        (["--model", "shift:1:product:s=4", "--c", "1"], "exceeds 10000000 points"),
+        # a shift within a factor 2 of that ring puts it in the point index
+        (["--model", "product:s=4", "--c", "40"], "needs |c| <= R/2 or |c| >= 2R"),
+    ],
+)
+def test_shift_check_refuses_to_materialise_a_huge_ring(capsys, argv, message):
+    code, out, err = run(capsys, "shift-check", *argv, "--r-min", "62", "--r-max", "70")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_logdiff_check_exp(capsys):

@@ -187,5 +187,11 @@ def test_model_language_helpers():
         parse_braced_quotient("{1}/{1/z}")
     with pytest.raises(ValueError, match="trailing input"):
         parse_braced_quotient("{z}x")
+    for junk in ("z}junk", "z}/{2", "z}{z"):
+        with pytest.raises(ValueError, match="trailing input in polynomial"):
+            parse_zpoly(junk)
+    for junk in ("1)*w", "1)^2", "1)*w(z+1", "2+i)+w(z+3"):
+        with pytest.raises(ValueError, match="trailing input in shift constant"):
+            parse_shift_constant(junk)
     with pytest.raises(ZeroShift):
         parse_shift_constant("0")
