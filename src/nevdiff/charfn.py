@@ -530,8 +530,6 @@ class CircleMean:
     evaluations: int
 
 
-# probe angles that set each circle's integrand scale
-_PROBE = np.linspace(0.0, TWO_PI, 257)
 # panels narrower than this are accepted as they are
 _H_MIN = TWO_PI * 2.0**-42
 # a block of radii starts with at most this many evaluation points (or one
@@ -555,6 +553,8 @@ def circle_means(
 
     The absolute target is tol_unit per unit of integrand scale, set per
     circle; panel boundaries are seeded at divisor angles near the circle.
+    At 64 base panels the scale probe is also the first two Simpson rounds of
+    every circle with no seeds.
     Every round evaluates the live panels of a whole block of circles in one
     model call, but each circle keeps its own scale, tolerance, acceptance,
     budget and panel cap, and its accepted contributions are combined with
@@ -575,17 +575,19 @@ def _means_prefix(
     base_panels: int = 64,
     max_panels: int = 400_000,
 ) -> MeansPrefix:
-    base = _initial_panels([], base_panels)
+    base = _BASE if base_panels == len(_BASE[0]) else _initial_panels([], base_panels)
     panels = []
     for r in radii:
         seeds = model.seed_angles(r)
         panels.append(_initial_panels(seeds, base_panels) if seeds else base)
+    # the points each circle evaluates before its first refinement round
+    points_at = [len(_PROBE) + (0 if p is _BASE else 3 * len(p[0])) for p in panels]
     means: List[CircleMean] = []
     start = 0
     while start < len(radii):
-        stop, points = start + 1, len(_PROBE) + 3 * len(panels[start][0])
+        stop, points = start + 1, points_at[start]
         while stop < len(radii):
-            points += len(_PROBE) + 3 * len(panels[stop][0])
+            points += points_at[stop]
             if points > _BLOCK_POINTS:
                 break
             stop += 1
@@ -609,6 +611,18 @@ def _initial_panels(seeds: Sequence[float], base_panels: int) -> Tuple[np.ndarra
     return bounds[:-1][keep], widths[keep]
 
 
+# the default base panels and their five-point Simpson grid: a, a+h/4, a+h/2
+# and a+3h/4 of each panel, then the last right end, in the refinement's own
+# arithmetic.  The grid is the probe that sets every circle's integrand scale,
+# and for a circle whose panels are these it is also its first two Simpson
+# rounds: np.diff is exact here (Sterbenz), so a + h is the next panel's a.
+_BASE = _initial_panels([], 64)
+_PROBE = np.append(
+    (_BASE[0][:, None] + _BASE[1][:, None] * np.array([0.0, 0.25, 0.5, 0.75])).ravel(),
+    _BASE[0][-1] + _BASE[1][-1],
+)
+
+
 def _integrand(model: MeromorphicModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # overflow shows as a non-finite value, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -624,9 +638,12 @@ def _block_means(
 ) -> MeansPrefix:
     """Adaptive Simpson on one frontier of (circle, panel) pairs.
 
-    `rid` names each panel's circle.  A failing circle stops the block for
-    itself and every later circle; an earlier one that fails later in the
-    refinement still takes precedence, as it would in a scan in order.
+    `rid` names each panel's circle.  A circle whose panels are `_BASE` takes
+    its first two Simpson rounds from its probe values; `known` marks the
+    panels whose quarter points are already evaluated.  A failing circle
+    stops the block for itself and every later circle; an earlier one that
+    fails later in the refinement still takes precedence, as it would in a
+    scan in order.
     """
     nb = len(radii)
     rb = np.array(radii, dtype=float)
@@ -641,21 +658,27 @@ def _block_means(
             hit = np.bincount(point_rid[~np.isfinite(values)], minlength=nb) > 0
             fail(hit, lambda r, _: NumericalBreakdown(f"non-finite integrand at r={r:g}"))
 
+    probed = np.array([p is _BASE for p in panels])
     counts = np.array([len(a) for a, _ in panels])
     rid = np.repeat(np.arange(nb), counts)
     a = np.concatenate([a for a, _ in panels])
     h = np.concatenate([h for _, h in panels])
-    evals = len(_PROBE) + 3 * counts
+    known = probed[rid]
+    new = ~known
     n_probe = nb * len(_PROBE)
-    probe_rid = np.repeat(np.arange(nb), len(_PROBE))
-    point_rid = np.concatenate([probe_rid, rid, rid, rid])
-    vals = _integrand(
-        model, rb[point_rid], np.concatenate([np.tile(_PROBE, nb), a, a + 0.5 * h, a + h])
-    )
+    point_rid = np.concatenate([np.repeat(np.arange(nb), len(_PROBE))] + [rid[new]] * 3)
+    theta = np.concatenate([np.tile(_PROBE, nb), a[new], (a + 0.5 * h)[new], (a + h)[new]])
+    vals = _integrand(model, rb[point_rid], theta)
+    evals = np.bincount(point_rid, minlength=nb)
     nonfinite(point_rid, vals)
-    scale = np.maximum(1.0, vals[:n_probe].reshape(nb, len(_PROBE)).max(axis=1))
+    probe = vals[:n_probe].reshape(nb, len(_PROBE))
+    scale = np.maximum(1.0, probe.max(axis=1))
     tol = tol_unit * scale * TWO_PI
-    f0, f1, f2 = np.split(vals[n_probe:], 3)
+    f0, f1, f2, fl, fr = np.empty((5, len(a)))
+    f0[new], f1[new], f2[new] = np.split(vals[n_probe:], 3)
+    grid = probe[probed]
+    f0[known], fl[known], f1[known], fr[known] = (grid[:, k:-1:4].ravel() for k in range(4))
+    f2[known] = grid[:, 4::4].ravel()
 
     acc_rid = [np.zeros(0, dtype=rid.dtype)]
     acc_val = [np.zeros(0)]
@@ -670,14 +693,15 @@ def _block_means(
         )
         if failures:
             keep = rid < min(failures)
-            rid, a, h, f0, f1, f2 = rid[keep], a[keep], h[keep], f0[keep], f1[keep], f2[keep]
+            rid, a, h, known = rid[keep], a[keep], h[keep], known[keep]
+            f0, f1, f2, fl, fr = f0[keep], f1[keep], f2[keep], fl[keep], fr[keep]
         if not len(a):
             break
-        xl = a + 0.25 * h
-        xr = a + 0.75 * h
-        both = np.concatenate([rid, rid])
-        vals = _integrand(model, rb[both], np.concatenate([xl, xr]))
-        fl, fr = np.split(vals, 2)
+        new = ~known
+        both = np.concatenate([rid[new], rid[new]])
+        x = np.concatenate([(a + 0.25 * h)[new], (a + 0.75 * h)[new]])
+        vals = _integrand(model, rb[both], x) if len(x) else x
+        fl[new], fr[new] = np.split(vals, 2)
         evals += np.bincount(both, minlength=nb)
         s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
         s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
@@ -698,6 +722,8 @@ def _block_means(
         f0 = np.concatenate([f0[bad], mid_bad])
         f2 = np.concatenate([mid_bad, f2[bad]])
         f1 = np.concatenate([fl[bad], fr[bad]])
+        fl, fr = np.empty((2, len(a)))
+        known = np.zeros(len(a), dtype=bool)
         fail(
             np.bincount(rid, minlength=nb) > max_panels,
             lambda r, _: QuadratureNonConvergence(f"too many panels at r={r:g}"),
@@ -705,13 +731,15 @@ def _block_means(
 
     done = min(failures, default=nb)
     acc = np.concatenate(acc_rid)
-    values = np.concatenate(acc_val)
-    errors = np.concatenate(acc_err)
+    # each circle's accepted panels, gathered by one stable sort
+    order = np.argsort(acc, kind="stable")
+    cuts = np.cumsum(np.bincount(acc, minlength=nb))[:-1]
+    values = np.split(np.concatenate(acc_val)[order], cuts)
+    errors = np.split(np.concatenate(acc_err)[order], cuts)
     means = []
     for j in range(done):
-        mine = acc == j
-        value = math.fsum(values[mine].tolist()) / TWO_PI
-        error = (math.fsum(errors[mine].tolist()) + 1e-16 * float(scale[j])) / TWO_PI
+        value = math.fsum(values[j].tolist()) / TWO_PI
+        error = (math.fsum(errors[j].tolist()) + 1e-16 * float(scale[j])) / TWO_PI
         error += model.band_error(radii[j]) / TWO_PI
         means.append(
             CircleMean(value=value, error=error, radius=radii[j], evaluations=int(evals[j]))

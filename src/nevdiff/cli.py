@@ -30,6 +30,8 @@ from .eqparse import (
 )
 
 OK, OPERATIONAL_ERROR, REJECTED = 0, 1, 2
+# the subcommands with a JSON report (--json, --format, fmt = json)
+_FORMATTED = ("classify", "enumerate", "reduce")
 
 
 def _fmt(x: float) -> str:
@@ -126,6 +128,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{name} must be finite, got {value}")
     if not cfg.tol_unit > 0:
         raise ValueError(f"tol_unit must be positive, got {cfg.tol_unit}")
+    if cfg.fmt == "json" and cfg.subcommand not in _FORMATTED:
+        raise ValueError(f"fmt = json: {cfg.subcommand} has no JSON report")
     return cfg
 
 
@@ -420,35 +424,42 @@ def cmd_characteristic(cfg: RunConfig) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an unknown flag is an error, never a longer one
     top = argparse.ArgumentParser(
         prog="nevdiff",
         description="degree classification and numerical growth checks for "
         "shift-polynomial equations",
+        allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
+
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if name in _FORMATTED:
+            p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
+            p.add_argument("--json", dest="fmt", action="store_const", const="json")
+        return p
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
-        p.add_argument("--json", dest="fmt", action="store_const", const="json")
         p.add_argument("--dry-run", dest="dry_run", action="store_true", default=None)
         p.add_argument("--tol-unit", dest="tol_unit", type=float, default=None)
 
-    p = sub.add_parser("classify", help="degree profile and verdict for equations")
+    p = add_parser("classify", help="degree profile and verdict for equations")
     p.add_argument("--eq", default=None)
     p.add_argument("--file", default=None)
     common(p)
 
-    p = sub.add_parser("enumerate", help="all admissible equation families")
+    p = add_parser("enumerate", help="all admissible equation families")
     p.add_argument("--poly", default=None, help="left side (defaults to benchmark)")
     common(p)
 
-    p = sub.add_parser("reduce", help="apply the benchmark exclusion rules")
+    p = add_parser("reduce", help="apply the benchmark exclusion rules")
     p.add_argument("--poly", default=None)
     common(p)
 
-    p = sub.add_parser("shift-check", help="shift inequalities on a model")
+    p = add_parser("shift-check", help="shift inequalities on a model")
     p.add_argument("--model", required=True)
     p.add_argument("--c", dest="c_list", default=None, help="comma-separated shifts")
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
@@ -456,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=None)
     common(p)
 
-    p = sub.add_parser("logdiff-check", help="explicit log-difference bound scan")
+    p = add_parser("logdiff-check", help="explicit log-difference bound scan")
     p.add_argument("--model", required=True)
     p.add_argument("--c", dest="c_list", default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -467,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-log-measure", dest="max_log_measure", type=float, default=None)
     common(p)
 
-    p = sub.add_parser("growth-scan", help="shift-stability scans for growth data")
+    p = add_parser("growth-scan", help="shift-stability scans for growth data")
     p.add_argument("--growth", dest="growth_spec", required=True)
     p.add_argument("--variant", default=None, choices=["density", "logmeasure", "fixed"])
     p.add_argument("--delta", type=float, default=None)
@@ -477,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     common(p)
 
-    p = sub.add_parser("product-example", help="separating product window table")
+    p = add_parser("product-example", help="separating product window table")
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--n1", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -485,13 +496,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-smallness", dest="max_smallness", type=float, default=None)
     common(p)
 
-    p = sub.add_parser("polechain", help="exact pole-order propagation table")
+    p = add_parser("polechain", help="exact pole-order propagation table")
     p.add_argument("--k0", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--skip", default=None, help="comma-separated skipped steps")
     common(p)
 
-    p = sub.add_parser("characteristic", help="r,m,N,T,err table for a model")
+    p = add_parser("characteristic", help="r,m,N,T,err table for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--r-min", dest="r_min", type=float, default=None)
     p.add_argument("--r-max", dest="r_max", type=float, default=None)

@@ -536,41 +536,3 @@ def _integrate(f: Callable[[float], float], lo: float, hi: float, rel_tol: float
             stack.append((x0, xm, f0, fl, f1, depth - 1))
             stack.append((xm, x2, f1, fr, f2, depth - 1))
     return total
-
-
-# ---------------------------------------------------------------------------
-# ratio diagnostics for counting data
-
-
-@dataclass(frozen=True)
-class RatioTrend:
-    factor: float
-    min_ratio: float
-    plausible: bool
-    boundary: bool
-    rows: Tuple[ScanRow, ...]
-
-
-def scan_shift_ratio(
-    N: GrowthFunction, d: float, horizon: float, *, grid_ratio: float = 1.2, r_min: float = 2.0
-) -> RatioTrend:
-    """Diagnostic: does N(d*r)/N(r) stay >= d on a geometric grid?
-
-    A ratio pinned at d is flagged as a boundary case; a ratio below d means
-    the varying-shift hypothesis fails for this data.
-    """
-    if d <= 1:
-        raise ValueError("the ratio factor must exceed 1")
-    grid = geometric_grid(r_min, horizon, grid_ratio)
-    rows = []
-    worst = math.inf
-    for r in grid:
-        gap = N.log_value(d * r) - N.log_value(r)
-        ratio = math.exp(min(gap, 700.0))
-        worst = min(worst, ratio)
-        rows.append(ScanRow(r, ratio, d, ratio >= d - 1e-12))
-    plausible = worst >= d - 1e-9
-    boundary = plausible and worst <= d + 1e-9
-    return RatioTrend(
-        factor=d, min_ratio=worst, plausible=plausible, boundary=boundary, rows=tuple(rows)
-    )

@@ -47,17 +47,13 @@ class PoleChain:
         return len(self.bounds) - 1
 
 
-def chain(k0: int, steps: int, *, skip_points: Sequence[int] = (), ratio: Fraction = STEP_RATIO) -> PoleChain:
-    """Build the chain of exact bounds and integer ceilings.
-
-    `ratio` other than 3/2 is experimental; the propagation argument holds
-    only for the benchmark step ratio.
-    """
+def chain(k0: int, steps: int, *, skip_points: Sequence[int] = ()) -> PoleChain:
+    """Build the chain of exact bounds and integer ceilings."""
     if k0 < 1:
         raise ValueError("initial pole order must be at least 1")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if math.log(k0) + steps * math.log(ratio) > math.log(MAX_BOUND):
+    if math.log(k0) + steps * math.log(STEP_RATIO) > math.log(MAX_BOUND):
         raise Overflow(f"{steps} steps from k0={k0} exceed the float range")
     skip = set(skip_points)
     bounds = [Fraction(k0)]
@@ -67,8 +63,8 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = (), ratio: Fracti
             bounds.append(bounds[-1])
             ceilings.append(ceilings[-1])
             continue
-        bounds.append(bounds[-1] * ratio)
-        ceilings.append(-((-ceilings[-1] * ratio.numerator) // ratio.denominator))
+        bounds.append(bounds[-1] * STEP_RATIO)
+        ceilings.append(-((-ceilings[-1] * STEP_RATIO.numerator) // STEP_RATIO.denominator))
     return PoleChain(
         k0=k0,
         bounds=tuple(bounds),

@@ -256,6 +256,8 @@ BLOCK_CASES = [
     (cf.Shifted(SMALL_RING, 2 + 1j), _grid(6.0, 20.0, 24)),
     (cf.Quotient(cf.Shifted(QUADRATIC, 1j), QUADRATIC), _grid(0.9, 1e4, 24)),
     (cf.PowerModel(NEAR_POLES, -2), _grid(3.0, 7.0, 20) + [4.99, 5.01]),
+    # unseeded circles evaluate only the probe first: 40 of them span two blocks
+    (cf.Shifted(cf.ExpExp(), 1.0), _grid(0.5, 6.0, 40)),
 ]
 
 
@@ -274,6 +276,59 @@ def test_circle_means_block_matches_each_circle_alone(model, radii):
     assert len(radii) * (257 + 3 * 64) > cf._BLOCK_POINTS
     evaluations = [m.evaluations for m in block]
     assert max(evaluations) > min(evaluations)
+
+
+# the scale probe is the first two Simpson rounds of a circle with no seed
+# angles; a seeded circle evaluates its own panels.  Values and errors were
+# taken from the quadrature that evaluated the probe separately.
+SQUARE_LESS_TWO = cf.RationalFn((F(-2), F0, F1), (F1,))
+SHIFT_QUOTIENT = cf.Quotient(cf.Shifted(SQUARE_LESS_TWO, 1.0), SQUARE_LESS_TWO)
+SHIFTED_RING = cf.Shifted(SMALL_RING, 2 + 1j)
+PINNED_MEANS = [
+    # model, r, base panels, seeded, value, error, evaluations
+    (EXP_Z, 5.0, 64, False, "0x1.976fc893c2daep+0", "0x1.b91c6c06f5e23p-29", 257),
+    (EXP_Z, 37.0, 64, False, "0x1.78e0ffef143dap+3", "0x1.9807171e3e40fp-26", 257),
+    (SHIFT_QUOTIENT, 1.5, 64, True, "0x1.e76a093941ceep-2", "0x1.0b18454720f78p-27", 1097),
+    (SHIFT_QUOTIENT, 2.4, 64, True, "0x1.ec75b045a3eedp-3", "0x1.79347f22d94c9p-30", 721),
+    (SHIFT_QUOTIENT, 7.0, 64, False, "0x1.6fada90dd6864p-4", "0x1.7aa964a86233dp-32", 337),
+    (SHIFTED_RING, 3.0, 64, False, "0x1.c07ec8ff05f90p-7", "0x1.6b3c713834293p-30", 489),
+    (SHIFTED_RING, 8.0, 64, True, "0x1.124dde799ac57p-1", "0x1.f5a2dcf0f1442p-29", 1246),
+    (SHIFTED_RING, 15.0, 64, True, "0x1.14bfa4bcfbd74p+3", "0x1.3bd166b75c82ep-24", 2655),
+    (cf.ExpExp(), 2.0, 64, False, "0x1.239c4a02b3205p+0", "0x1.69674ea38f894p-27", 505),
+    (cf.ExpExp(), 4.0, 64, False, "0x1.0a6d215457ef3p+2", "0x1.7b0a264e35f0cp-26", 457),
+    (EXP_Z, 37.0, 128, False, "0x1.78e0ffef14fa7p+3", "0x1.97ef88295fb50p-30", 897),
+    (SHIFT_QUOTIENT, 1.5, 128, True, "0x1.e76a0939002cbp-2", "0x1.2b41ae830e9dcp-28", 1265),
+    (SHIFT_QUOTIENT, 7.0, 128, False, "0x1.6fada90dd3f4ap-4", "0x1.7dc701f8c8eb9p-36", 969),
+]
+
+
+@pytest.mark.parametrize(
+    "model, r, base_panels, seeded, value, error, evaluations",
+    PINNED_MEANS,
+    ids=[f"{m.label[:20]}-r{r}-{bp}" for m, r, bp, *_ in PINNED_MEANS],
+)
+def test_circle_mean_pinned_bits(model, r, base_panels, seeded, value, error, evaluations):
+    assert bool(model.seed_angles(r)) == seeded
+    mean = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=base_panels)[0]
+    assert mean.value.hex() == value
+    assert mean.error.hex() == error
+    assert mean.evaluations == evaluations
+
+
+def test_unseeded_circle_accepted_in_first_round_evaluates_only_the_probe():
+    assert not EXP_Z.seed_angles(5.0)
+    mean = cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8)[0]
+    assert mean.evaluations == len(cf._PROBE) == 257
+
+
+def test_probe_is_the_five_point_grid_of_the_base_panels():
+    a, h = cf._initial_panels([], 64)
+    ends = np.append(a, cf.TWO_PI)
+    for j in range(65):
+        assert cf._PROBE[4 * j] == ends[j]
+    for j in range(64):
+        assert cf._PROBE[4 * j + 2] == a[j] + 0.5 * h[j]
+        assert cf._PROBE[4 * j + 4] == a[j] + h[j]
 
 
 def test_block_raises_for_the_first_failing_radius_in_order():

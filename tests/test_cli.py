@@ -220,6 +220,39 @@ def test_refused_inputs_exit_one(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # no prefix matching: --c is not --config where there is no --c
+        (["characteristic", "--model", "exp:z", "--c", "1"], "--c 1"),
+        (["logdiff-check", "--model", "exp:z", "--hor", "10"], "--hor 10"),
+        (["classify", "--js", "--eq", BENCH_EQ], "--js"),
+        # only classify, enumerate and reduce have a JSON report
+        (["characteristic", "--model", "exp:z", "--json"], "--json"),
+        (["shift-check", "--model", "expexp", "--format", "json"], "--format json"),
+        (["polechain", "--format", "text"], "--format text"),
+    ],
+)
+def test_unknown_flags_exit_one(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+    assert "Traceback" not in err
+
+
+def test_json_format_from_config_only_where_there_is_a_json_report(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fmt = json\n", encoding="utf-8")
+    code, out, err = run(capsys, "characteristic", "--model", "exp:z", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: fmt = json: characteristic has no JSON report\n"
+    code, out, _ = run(capsys, "reduce", "--config", str(cfg))
+    assert code == 0
+    assert len(json.loads(out)) == 9
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("r_mni = 5\n", encoding="utf-8")

@@ -200,29 +200,6 @@ def test_covering_bound_monotonicity_guard():
         g.edrei_fuchs_bound(lambda r: r, lambda t: t, 2.0, 10.0)
 
 
-# -- ratio diagnostics -----------------------------------------------------------
-
-
-def test_ratio_scan_quadratic():
-    rep = g.scan_shift_ratio(g.PowerGrowth(2), 2.0, 1e4)
-    assert rep.plausible and not rep.boundary
-    assert rep.min_ratio == pytest.approx(4.0, rel=1e-9)
-
-
-def test_ratio_scan_boundary():
-    rep = g.scan_shift_ratio(g.PowerGrowth(1), 2.0, 1e4)
-    assert rep.plausible and rep.boundary
-
-
-def test_ratio_scan_fails_for_log():
-    class LogGrowth(g.GrowthFunction):
-        def value(self, r):
-            return math.log(max(r, 1.1))
-
-    rep = g.scan_shift_ratio(LogGrowth(), 2.0, 1e4)
-    assert not rep.plausible
-
-
 # -- sampled growth ---------------------------------------------------------------
 
 
