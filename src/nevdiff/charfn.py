@@ -621,12 +621,32 @@ _PROBE = np.append(
     (_BASE[0][:, None] + _BASE[1][:, None] * np.array([0.0, 0.25, 0.5, 0.75])).ravel(),
     _BASE[0][-1] + _BASE[1][-1],
 )
+# r * _UNIT is bit for bit r * np.exp(1j * _PROBE)
+_UNIT = np.exp(1j * _PROBE)
 
 
-def _integrand(model: MeromorphicModel, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _integrand(model: MeromorphicModel, z: np.ndarray) -> np.ndarray:
     # overflow shows as a non-finite value, which the caller reports
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.maximum(model.log_abs(r * np.exp(1j * theta)), 0.0)
+        return np.maximum(model.log_abs(z), 0.0)
+
+
+def _simpson(h, tol, f0, fl, f1, fr, f2):
+    """Each panel's extrapolated five-point Simpson value, its error estimate
+    and whether it is accepted against tol (per full turn)."""
+    s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
+    s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
+    err = np.abs(s2 - s1) / 15.0
+    ok = (err <= tol * h / TWO_PI) | (h <= _H_MIN)
+    return s2 + (s2 - s1) / 15.0, err, ok
+
+
+def _halves(a, h, rid, f0, fl, f1, fr, f2):
+    """The halves of rejected panels as (a, h, rid, f0, f1, f2): the left one
+    ends at the old midpoint, where the right one starts, and the old quarter
+    points are their midpoints."""
+    pairs = (a, a + 0.5 * h), (0.5 * h, 0.5 * h), (rid, rid), (f0, f1), (fl, fr), (f1, f2)
+    return tuple(np.concatenate(pair) for pair in pairs)
 
 
 def _block_means(
@@ -636,110 +656,101 @@ def _block_means(
     tol_unit: float,
     max_panels: int,
 ) -> MeansPrefix:
-    """Adaptive Simpson on one frontier of (circle, panel) pairs.
+    """Adaptive Simpson on a block of circles.
 
-    `rid` names each panel's circle.  A circle whose panels are `_BASE` takes
-    its first two Simpson rounds from its probe values; `known` marks the
-    panels whose quarter points are already evaluated.  A failing circle
-    stops the block for itself and every later circle; an earlier one that
-    fails later in the refinement still takes precedence, as it would in a
-    scan in order.
+    One model call evaluates every circle's probe and each seeded circle's
+    panel ends and midpoints.  A circle whose panels are `_BASE` runs its
+    first round densely on its probe row; only its rejected panels, already
+    split, join the frontier of (circle `rid`, panel) pairs, where every
+    panel still needs its quarter points.  A failing circle drops itself and
+    every later circle before the next Simpson arithmetic; an earlier one
+    that fails later in the refinement still takes precedence, as it would
+    in a scan in order.
     """
     nb = len(radii)
     rb = np.array(radii, dtype=float)
     failures: dict = {}
 
-    def fail(bad: np.ndarray, make) -> None:
+    def fail(bad: np.ndarray, error: type, text: str) -> None:
         for j in np.flatnonzero(bad):
-            failures.setdefault(int(j), make(radii[j], int(evals[j])))
+            failures.setdefault(int(j), error(text.format(r=radii[j], n=int(evals[j]))))
 
     def nonfinite(point_rid: np.ndarray, values: np.ndarray) -> None:
-        if not np.all(np.isfinite(values)):
-            hit = np.bincount(point_rid[~np.isfinite(values)], minlength=nb) > 0
-            fail(hit, lambda r, _: NumericalBreakdown(f"non-finite integrand at r={r:g}"))
+        hit = np.bincount(point_rid[~np.isfinite(values)], minlength=nb) > 0
+        fail(hit, NumericalBreakdown, "non-finite integrand at r={r:g}")
+
+    def over_budget(live: np.ndarray) -> None:
+        text = "budget exhausted at r={r:g} ({n} evaluations)"
+        fail(live & (evals > max_panels * 4), QuadratureNonConvergence, text)
+
+    def over_cap(rid: np.ndarray) -> None:
+        hit = np.bincount(rid, minlength=nb) > max_panels
+        fail(hit, QuadratureNonConvergence, "too many panels at r={r:g}")
 
     probed = np.array([p is _BASE for p in panels])
-    counts = np.array([len(a) for a, _ in panels])
-    rid = np.repeat(np.arange(nb), counts)
-    a = np.concatenate([a for a, _ in panels])
-    h = np.concatenate([h for _, h in panels])
-    known = probed[rid]
-    new = ~known
-    n_probe = nb * len(_PROBE)
-    point_rid = np.concatenate([np.repeat(np.arange(nb), len(_PROBE))] + [rid[new]] * 3)
-    theta = np.concatenate([np.tile(_PROBE, nb), a[new], (a + 0.5 * h)[new], (a + h)[new]])
-    vals = _integrand(model, rb[point_rid], theta)
-    evals = np.bincount(point_rid, minlength=nb)
-    nonfinite(point_rid, vals)
-    probe = vals[:n_probe].reshape(nb, len(_PROBE))
-    scale = np.maximum(1.0, probe.max(axis=1))
+    seeded = np.flatnonzero(~probed)
+    rid = np.repeat(seeded, [len(panels[j][0]) for j in seeded])
+    a, h = (np.concatenate([np.zeros(0)] + [panels[j][k] for j in seeded]) for k in (0, 1))
+    rid3 = np.tile(rid, 3)
+    z = rb[rid3] * np.exp(1j * np.concatenate([a, a + 0.5 * h, a + h]))
+    vals = _integrand(model, np.concatenate([(rb[:, None] * _UNIT).ravel(), z]))
+    g = vals[: nb * len(_PROBE)].reshape(nb, len(_PROBE))
+    f0, f1, f2 = np.split(vals[g.size :], 3)
+    evals = len(_PROBE) + 3 * np.bincount(rid, minlength=nb)
+    # values are >= 0 or NaN, so a row's max is finite exactly when the row is
+    peak = g.max(axis=1)
+    nonfinite(np.arange(nb), peak)
+    nonfinite(rid3, vals[g.size :])
+    scale = np.maximum(1.0, peak)
     tol = tol_unit * scale * TWO_PI
-    f0, f1, f2, fl, fr = np.empty((5, len(a)))
-    f0[new], f1[new], f2[new] = np.split(vals[n_probe:], 3)
-    grid = probe[probed]
-    f0[known], fl[known], f1[known], fr[known] = (grid[:, k:-1:4].ravel() for k in range(4))
-    f2[known] = grid[:, 4::4].ravel()
+    over_budget(np.ones(nb, dtype=bool))
 
-    acc_rid = [np.zeros(0, dtype=rid.dtype)]
-    acc_val = [np.zeros(0)]
-    acc_err = [np.zeros(0)]
+    accepted = [(rid[:0], a[:0], a[:0])]  # (circle, value, error) per panel
+    # the probed circles before the first failure: their first round reads
+    # f0, fl, f1, fr, f2 of every base panel as strided views of the probe
+    rows = np.flatnonzero(probed[: min(failures, default=nb)])
+    if len(rows):
+        grid = g[rows]
+        f = [grid[:, k:-1:4] for k in range(4)] + [grid[:, 4::4]]
+        s, err, ok = _simpson(_BASE[1], tol[rows, None], *f)
+        accepted.append((np.repeat(rows, ok.sum(axis=1)), s[ok], err[ok]))
+        row, col = np.nonzero(~ok)
+        split = _halves(_BASE[0][col], _BASE[1][col], rows[row], *(fk[row, col] for fk in f))
+        over_cap(split[2])
+        frontier = zip((a, h, rid, f0, f1, f2), split)
+        a, h, rid, f0, f1, f2 = (np.concatenate(pair) for pair in frontier)
+
     while True:
-        live = np.bincount(rid, minlength=nb) > 0
-        fail(
-            live & (evals > max_panels * 4),
-            lambda r, n: QuadratureNonConvergence(
-                f"budget exhausted at r={r:g} ({n} evaluations)"
-            ),
-        )
+        over_budget(np.bincount(rid, minlength=nb) > 0)
         if failures:
             keep = rid < min(failures)
-            rid, a, h, known = rid[keep], a[keep], h[keep], known[keep]
-            f0, f1, f2, fl, fr = f0[keep], f1[keep], f2[keep], fl[keep], fr[keep]
+            a, h, rid, f0, f1, f2 = (x[keep] for x in (a, h, rid, f0, f1, f2))
         if not len(a):
             break
-        new = ~known
-        both = np.concatenate([rid[new], rid[new]])
-        x = np.concatenate([(a + 0.25 * h)[new], (a + 0.75 * h)[new]])
-        vals = _integrand(model, rb[both], x) if len(x) else x
-        fl[new], fr[new] = np.split(vals, 2)
+        both = np.concatenate([rid, rid])
+        quarters = np.concatenate([a + 0.25 * h, a + 0.75 * h])
+        vals = _integrand(model, rb[both] * np.exp(1j * quarters))
+        fl, fr = np.split(vals, 2)
         evals += np.bincount(both, minlength=nb)
-        s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
-        s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
-        err = np.abs(s2 - s1) / 15.0
-        ok = (err <= tol[rid] * h / TWO_PI) | (h <= _H_MIN)
-        acc_rid.append(rid[ok])
-        acc_val.append(s2[ok] + (s2[ok] - s1[ok]) / 15.0)
-        acc_err.append(err[ok])
+        s, err, ok = _simpson(h, tol[rid], f0, fl, f1, fr, f2)
+        accepted.append((rid[ok], s[ok], err[ok]))
         nonfinite(both, vals)
         bad = ~ok
-        a_bad, h_bad, rid_bad = a[bad], h[bad], rid[bad]
-        mid_bad = f1[bad]
-        # left half runs (a, a+h/2) with end value at the old midpoint;
-        # right half runs (a+h/2, a+h) starting there
-        a = np.concatenate([a_bad, a_bad + 0.5 * h_bad])
-        h = np.concatenate([0.5 * h_bad, 0.5 * h_bad])
-        rid = np.concatenate([rid_bad, rid_bad])
-        f0 = np.concatenate([f0[bad], mid_bad])
-        f2 = np.concatenate([mid_bad, f2[bad]])
-        f1 = np.concatenate([fl[bad], fr[bad]])
-        fl, fr = np.empty((2, len(a)))
-        known = np.zeros(len(a), dtype=bool)
-        fail(
-            np.bincount(rid, minlength=nb) > max_panels,
-            lambda r, _: QuadratureNonConvergence(f"too many panels at r={r:g}"),
-        )
+        a, h, rid, f0, f1, f2 = _halves(*(x[bad] for x in (a, h, rid, f0, fl, f1, fr, f2)))
+        over_cap(rid)
 
     done = min(failures, default=nb)
-    acc = np.concatenate(acc_rid)
-    # each circle's accepted panels, gathered by one stable sort
+    # each circle's accepted panels, gathered by one stable sort; fsum is
+    # exactly rounded, so their order does not matter
+    acc, values, errors = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.argsort(acc, kind="stable")
-    cuts = np.cumsum(np.bincount(acc, minlength=nb))[:-1]
-    values = np.split(np.concatenate(acc_val)[order], cuts)
-    errors = np.split(np.concatenate(acc_err)[order], cuts)
+    ends = np.cumsum(np.bincount(acc, minlength=nb)).tolist()
+    values, errors = values[order].tolist(), errors[order].tolist()
     means = []
     for j in range(done):
-        value = math.fsum(values[j].tolist()) / TWO_PI
-        error = (math.fsum(errors[j].tolist()) + 1e-16 * float(scale[j])) / TWO_PI
+        lo, hi = ends[j - 1] if j else 0, ends[j]
+        value = math.fsum(values[lo:hi]) / TWO_PI
+        error = (math.fsum(errors[lo:hi]) + 1e-16 * float(scale[j])) / TWO_PI
         error += model.band_error(radii[j]) / TWO_PI
         means.append(
             CircleMean(value=value, error=error, radius=radii[j], evaluations=int(evals[j]))

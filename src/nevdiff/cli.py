@@ -92,6 +92,7 @@ def _read_config_file(path: str) -> dict:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(name: str, value: str):
@@ -101,7 +102,9 @@ def _coerce(name: str, value: str):
     if target in ("int", "Optional[int]"):
         return int(value)
     if target == "bool":
-        return value.lower() in ("1", "true", "yes")
+        if value.lower() not in _BOOLS:
+            raise ValueError(f"{name} must be one of {', '.join(_BOOLS)}, got {value!r}")
+        return _BOOLS[value.lower()]
     return value
 
 
@@ -128,6 +131,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{name} must be finite, got {value}")
     if not cfg.tol_unit > 0:
         raise ValueError(f"tol_unit must be positive, got {cfg.tol_unit}")
+    if cfg.fmt not in ("text", "json"):
+        raise ValueError(f"fmt must be text or json, got {cfg.fmt!r}")
     if cfg.fmt == "json" and cfg.subcommand not in _FORMATTED:
         raise ValueError(f"fmt = json: {cfg.subcommand} has no JSON report")
     return cfg
@@ -528,10 +533,12 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else OPERATIONAL_ERROR
     try:
+        if extra:
+            raise ValueError(f"{args.subcommand}: unrecognized arguments: {' '.join(extra)}")
         cfg = _resolve(args)
         if cfg.dry_run:
             sys.stdout.write(cfg.dump())

@@ -331,6 +331,62 @@ def test_probe_is_the_five_point_grid_of_the_base_panels():
         assert cf._PROBE[4 * j + 4] == a[j] + h[j]
 
 
+def test_unit_probe_points_are_bit_for_bit_the_exponential():
+    assert cf._UNIT.view(np.uint64).tolist() == np.exp(1j * cf._PROBE).view(np.uint64).tolist()
+    for r in (0.5, 7.0, 37.0, 1e6):
+        want = r * np.exp(1j * cf._PROBE)
+        assert (r * cf._UNIT).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# Failures in an unseeded circle's first round, which reads the probe.  The
+# expected messages and bits were taken from the quadrature that ran that
+# round on the one-dimensional frontier.
+Z_CUBED = cf.ExpPoly((F0, F0, F0, F1))  # e^{z^3}: 34 base panels rejected at r = 2
+EXPEXP_OVER_POLES = cf.Quotient(cf.ExpExp(), NEAR_POLES)
+
+
+def test_unseeded_circle_over_budget_in_its_first_round():
+    with pytest.raises(cf.QuadratureNonConvergence) as info:
+        cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=64)
+    assert str(info.value) == "budget exhausted at r=5 (257 evaluations)"
+    assert cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=65)[0].evaluations == 257
+
+
+@pytest.mark.parametrize(
+    "max_panels, message",
+    [
+        (64, "budget exhausted at r=2 (257 evaluations)"),
+        (65, "too many panels at r=2"),
+        (67, "too many panels at r=2"),
+        (68, "budget exhausted at r=2 (393 evaluations)"),
+    ],
+)
+def test_panel_cap_right_after_the_first_round(max_panels, message):
+    assert not Z_CUBED.seed_angles(2.0)
+    with pytest.raises(cf.QuadratureNonConvergence) as info:
+        cf.circle_means(Z_CUBED, [2.0], tol_unit=1e-8, max_panels=max_panels)
+    assert str(info.value) == message
+
+
+def test_block_of_probed_and_seeded_circles_fails_in_order():
+    radii = [3.0, 4.9, 800.0, 6.0]
+    assert [bool(EXPEXP_OVER_POLES.seed_angles(r)) for r in radii] == [False, True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # r = 800 overflows in its probe, but r = 4.9 runs on and exhausts
+        # its budget several rounds later
+        with pytest.raises(cf.QuadratureNonConvergence) as info:
+            cf.circle_means(EXPEXP_OVER_POLES, [4.9, 800.0], tol_unit=1e-8, max_panels=200)
+        means, err = cf._means_prefix(EXPEXP_OVER_POLES, radii, 1e-8, 64, 300)
+    assert str(info.value) == "budget exhausted at r=4.9 (809 evaluations)"
+    assert isinstance(err, cf.NumericalBreakdown)
+    assert str(err) == "non-finite integrand at r=800"
+    assert [(m.value.hex(), m.error.hex(), m.evaluations) for m in means] == [
+        ("0x1.1502799fd38afp+2", "0x1.741369f78f4bdp-25", 577),
+        ("0x1.57a538f9bbca0p+3", "0x1.d66e45d3cec00p-23", 1057),
+    ]
+
+
 def test_block_raises_for_the_first_failing_radius_in_order():
     # alone, r = 4.95 exhausts the budget in fewer rounds than r = 4.9
     radii = [3.0, 4.9, 4.95, 6.0]
