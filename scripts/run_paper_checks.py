@@ -2,12 +2,14 @@
 """End-to-end verification run: every CLI workflow on its reference inputs.
 
 Writes one report per workflow into an output directory (default ./reports)
-and prints a one-line verdict per step.  Exit code 0 only if every step
-passes its own hard assertions.
+and prints a one-line verdict per step, then `sha256 <hex>` over the reports'
+bytes in step order, which is the same on every run.  Exit code 0 only if
+every step passes its own hard assertions.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -69,12 +71,15 @@ def main() -> int:
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
+    digest = hashlib.sha256()
     for name, argv in STEPS:
         path = out_dir / f"{name}.txt"
         code = cli_main(argv + ["--out", str(path)])
         status = {0: "pass", 1: "error", 2: "reject"}[code]
         print(f"{name:<24} {status}  -> {path}")
         worst = max(worst, code)
+        digest.update(path.read_bytes())
+    print(f"sha256 {digest.hexdigest()}")
     return worst
 
 

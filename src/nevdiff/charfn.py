@@ -534,7 +534,11 @@ class CircleMean:
 _H_MIN = TWO_PI * 2.0**-42
 # a block of radii starts with at most this many evaluation points (or one
 # radius); it bounds the frontier arrays and so the peak memory of a scan
-_BLOCK_POINTS = 8192
+_BLOCK_POINTS = 16384
+# probe rows per model call: 15 * 257 complex points are 61,680 bytes, so
+# every temporary of the call stays under malloc's 128 KiB mmap threshold and
+# reuses freed heap instead of faulting in fresh pages
+_CHUNK_ROWS = 15
 
 # the means of the longest prefix of the radii that succeeds, and the error
 # of the radius after it (None when every radius succeeds)
@@ -555,12 +559,12 @@ def circle_means(
     circle; panel boundaries are seeded at divisor angles near the circle.
     At 64 base panels the scale probe is also the first two Simpson rounds of
     every circle with no seeds.
-    Every round evaluates the live panels of a whole block of circles in one
-    model call, but each circle keeps its own scale, tolerance, acceptance,
-    budget and panel cap, and its accepted contributions are combined with
-    exact summation, so each mean is the one its circle gets alone and is
-    byte-stable regardless of refinement order.  Raises the error of the
-    first failing radius in the order given.
+    Every round evaluates the live panels of a whole block of circles
+    together (the first in chunks of circles), but each circle keeps its own
+    scale, tolerance, acceptance, budget and panel cap, and its accepted
+    contributions are combined with exact summation, so each mean is the one
+    its circle gets alone and is byte-stable regardless of refinement order.
+    Raises the error of the first failing radius in the order given.
     """
     means, err = _means_prefix(model, radii, tol_unit, base_panels, max_panels)
     if err is not None:
@@ -658,11 +662,12 @@ def _block_means(
 ) -> MeansPrefix:
     """Adaptive Simpson on a block of circles.
 
-    One model call evaluates every circle's probe and each seeded circle's
-    panel ends and midpoints.  A circle whose panels are `_BASE` runs its
-    first round densely on its probe row; only its rejected panels, already
-    split, join the frontier of (circle `rid`, panel) pairs, where every
-    panel still needs its quarter points.  A failing circle drops itself and
+    The probe rows are evaluated _CHUNK_ROWS circles per model call, and each
+    seeded circle's panel ends and midpoints with the last chunk.  A circle
+    whose panels are `_BASE` runs its first round densely on its probe row;
+    only its rejected panels, already split, join the frontier of (circle
+    `rid`, panel) pairs, where every panel still needs its quarter points.
+    A failing circle drops itself and
     every later circle before the next Simpson arithmetic; an earlier one
     that fails later in the refinement still takes precedence, as it would
     in a scan in order.
@@ -692,15 +697,21 @@ def _block_means(
     rid = np.repeat(seeded, [len(panels[j][0]) for j in seeded])
     a, h = (np.concatenate([np.zeros(0)] + [panels[j][k] for j in seeded]) for k in (0, 1))
     rid3 = np.tile(rid, 3)
+    g = np.empty((nb, len(_PROBE)))
+    last = (nb - 1) // _CHUNK_ROWS * _CHUNK_ROWS
+    for lo in range(0, last, _CHUNK_ROWS):
+        z = (rb[lo : lo + _CHUNK_ROWS, None] * _UNIT).ravel()
+        g[lo : lo + _CHUNK_ROWS] = _integrand(model, z).reshape(_CHUNK_ROWS, -1)
     z = rb[rid3] * np.exp(1j * np.concatenate([a, a + 0.5 * h, a + h]))
-    vals = _integrand(model, np.concatenate([(rb[:, None] * _UNIT).ravel(), z]))
-    g = vals[: nb * len(_PROBE)].reshape(nb, len(_PROBE))
-    f0, f1, f2 = np.split(vals[g.size :], 3)
+    vals = _integrand(model, np.concatenate([(rb[last:, None] * _UNIT).ravel(), z]))
+    g[last:] = vals[: g[last:].size].reshape(nb - last, -1)
+    vals = vals[g[last:].size :]
+    f0, f1, f2 = np.split(vals, 3)
     evals = len(_PROBE) + 3 * np.bincount(rid, minlength=nb)
     # values are >= 0 or NaN, so a row's max is finite exactly when the row is
     peak = g.max(axis=1)
     nonfinite(np.arange(nb), peak)
-    nonfinite(rid3, vals[g.size :])
+    nonfinite(rid3, vals)
     scale = np.maximum(1.0, peak)
     tol = tol_unit * scale * TWO_PI
     over_budget(np.ones(nb, dtype=bool))
@@ -720,13 +731,13 @@ def _block_means(
         frontier = zip((a, h, rid, f0, f1, f2), split)
         a, h, rid, f0, f1, f2 = (np.concatenate(pair) for pair in frontier)
 
-    while True:
+    while len(a):
         over_budget(np.bincount(rid, minlength=nb) > 0)
         if failures:
             keep = rid < min(failures)
             a, h, rid, f0, f1, f2 = (x[keep] for x in (a, h, rid, f0, f1, f2))
-        if not len(a):
-            break
+            if not len(a):
+                break
         both = np.concatenate([rid, rid])
         quarters = np.concatenate([a + 0.25 * h, a + 0.75 * h])
         vals = _integrand(model, rb[both] * np.exp(1j * quarters))
@@ -746,15 +757,14 @@ def _block_means(
     order = np.argsort(acc, kind="stable")
     ends = np.cumsum(np.bincount(acc, minlength=nb)).tolist()
     values, errors = values[order].tolist(), errors[order].tolist()
+    scales, counts = scale.tolist(), evals.tolist()
     means = []
     for j in range(done):
         lo, hi = ends[j - 1] if j else 0, ends[j]
         value = math.fsum(values[lo:hi]) / TWO_PI
-        error = (math.fsum(errors[lo:hi]) + 1e-16 * float(scale[j])) / TWO_PI
+        error = (math.fsum(errors[lo:hi]) + 1e-16 * scales[j]) / TWO_PI
         error += model.band_error(radii[j]) / TWO_PI
-        means.append(
-            CircleMean(value=value, error=error, radius=radii[j], evaluations=int(evals[j]))
-        )
+        means.append(CircleMean(value=value, error=error, radius=radii[j], evaluations=counts[j]))
     return means, failures.get(done)
 
 
@@ -781,16 +791,24 @@ def _counting_arrays(model: MeromorphicModel, kind: str):
 
 def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
     """Integrated counting function from the divisor, in closed form."""
-    if r < 1.0:
+    return _counting_grid(model, [r], of)[0]
+
+
+def _counting_grid(model: MeromorphicModel, radii: Sequence[float], of: str) -> List[float]:
+    """counting_N at every radius: the points' part from one search over the
+    grid, each ring's part per radius."""
+    if any(r < 1.0 for r in radii):
         raise ValueError("counting is reported for r >= 1")
     if of not in ("poles", "zeros"):
         raise ValueError("of must be 'poles' or 'zeros'")
     mags, prefix_m, prefix_mlog, n0, rings = _counting_arrays(model, of)
-    k = int(np.searchsorted(mags, r, side="right"))
-    total = prefix_m[k] * math.log(r) - prefix_mlog[k]
-    return float(total + n0 * math.log(r)) + sum(
-        ring.mult * _ring_counting(ring, r) for ring in rings
-    )
+    k = np.searchsorted(mags, radii, side="right")
+    out = []
+    for r, m, mlog in zip(radii, prefix_m[k].tolist(), prefix_mlog[k].tolist()):
+        log_r = math.log(r)
+        ring_part = sum(ring.mult * _ring_counting(ring, r) for ring in rings)
+        out.append(m * log_r - mlog + n0 * log_r + ring_part)
+    return out
 
 
 # a ring's series stops below _SERIES_TOL; no more than _DIRECT_MAX points
@@ -876,12 +894,37 @@ def _perturb_off_divisor(model: MeromorphicModel, r: float) -> float:
     raise PoleOnCircle(f"poles stayed on |z| = {r:g} after 3 nudges")
 
 
+def _off_poles(
+    model: MeromorphicModel, radii: Sequence[float]
+) -> Tuple[List[float], Optional[PoleOnCircle]]:
+    """The radii nudged off the poles, in order, up to the first that stays
+    on one and its error."""
+    if not radii:  # a scan of no radii builds no pole index
+        return [], None
+    pole_mags, *_, rings = _counting_arrays(model, "poles")
+    # the first pole magnitude at or above r (1 - 1e-12) decides for the
+    # points, so one search over the grid finds the radii that need a nudge;
+    # a ring's crossings are checked per radius
+    rb = np.array(radii, dtype=float)
+    k = pole_mags.searchsorted(rb - 1e-12 * rb)
+    near = np.append(pole_mags, np.inf)[k] <= rb + 1e-12 * rb
+    used = list(radii)
+    for j in range(len(radii)) if rings else np.flatnonzero(near).tolist():
+        try:
+            used[j] = _perturb_off_divisor(model, radii[j])
+        except PoleOnCircle as exc:
+            return used[:j], exc
+    return used, None
+
+
 def proximity_m(
     model: MeromorphicModel, r: float, *, tol_unit: float = 1e-8
 ) -> CircleMean:
     """Circle mean of log+ |f|; the radius nudges off any pole on the circle."""
-    r_used = _perturb_off_divisor(model, r)
-    return circle_means(model, [r_used], tol_unit=tol_unit)[0]
+    means, err = _proximity_prefix(model, [r], tol_unit)
+    if err is not None:
+        raise err
+    return means[0]
 
 
 def characteristic_T(
@@ -904,14 +947,7 @@ def _proximity_prefix(
     model: MeromorphicModel, radii: Sequence[float], tol_unit: float
 ) -> MeansPrefix:
     """proximity_m over radii in order, up to the first radius that fails."""
-    used: List[float] = []
-    err: Optional[CharFnError] = None
-    for r in radii:
-        try:
-            used.append(_perturb_off_divisor(model, r))
-        except PoleOnCircle as exc:
-            err = exc
-            break
+    used, err = _off_poles(model, radii)
     means, mean_err = _means_prefix(model, used, tol_unit)
     return means, (mean_err if len(means) < len(used) else err)
 
@@ -921,15 +957,13 @@ def _characteristic_prefix(
 ) -> Tuple[List[CharacteristicSample], Optional[CharFnError]]:
     """characteristic_T over radii in order, up to the first radius that fails."""
     means, err = _proximity_prefix(model, radii, tol_unit)
-    samples = []
-    for mean in means:
-        n_val = counting_N(model, mean.radius, of="poles")
-        samples.append(
-            CharacteristicSample(
-                r=mean.radius, m=mean.value, N=n_val, T=mean.value + n_val,
-                quad_error=mean.error,
-            )
+    counts = _counting_grid(model, [mean.radius for mean in means], "poles")
+    samples = [
+        CharacteristicSample(
+            r=mean.radius, m=mean.value, N=n_val, T=mean.value + n_val, quad_error=mean.error
         )
+        for mean, n_val in zip(means, counts)
+    ]
     return samples, err
 
 
@@ -977,19 +1011,6 @@ def _char_factor(c_abs: float, r: float) -> float:
     return 1.0 + (2.0 + c_abs) * math.log1p(c_abs) / math.log(r + c_abs)
 
 
-def shift_inequality_check(
-    model: MeromorphicModel,
-    c: complex,
-    r: float,
-    *,
-    of: Optional[str] = None,
-    tol_unit: float = 1e-8,
-) -> ShiftCheckRow:
-    """Compare counting and characteristic of the shift against the bounds
-    built from the unshifted function at radius r + |c|."""
-    return _shift_rows(model, c, [r], of, tol_unit)[0]
-
-
 def shift_inequality_sweep(
     model: MeromorphicModel,
     c: complex,
@@ -1019,12 +1040,21 @@ def _shift_rows(
     const_t = proximity_m(model, r0, tol_unit=tol_unit).value + counting_N(
         model, r0, of="poles"
     )
-    const_n: dict = {}
 
     lhs_means, lhs_err = _proximity_prefix(shifted, radii, tol_unit)
     far_means, far_err = _proximity_prefix(
         model, [r + c_abs for r in radii[: len(lhs_means)]], tol_unit
     )
+    done = radii[: len(far_means)]
+    kinds = [of or _counting_kind_default(model, r + c_abs + 1.0) for r in done]
+    # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f)
+    counts = {
+        kind: (
+            _counting_grid(shifted, done, kind),
+            _counting_grid(model, [r0] + [r + c_abs for r in done], kind),
+        )
+        for kind in dict.fromkeys(kinds + ["poles"])
+    }
     rows = []
     for i, r in enumerate(radii):
         # raise what a scan in radius order meets first
@@ -1033,16 +1063,15 @@ def _shift_rows(
         if i == len(far_means):
             raise far_err
         lhs_mean, far_mean = lhs_means[i], far_means[i]
-        kind = of or _counting_kind_default(model, r + c_abs + 1.0)
-        if kind not in const_n:
-            const_n[kind] = counting_N(model, r0, of=kind)
+        kind = kinds[i]
+        (lhs_ns, base_ns), (lhs_ps, base_ps) = counts[kind], counts["poles"]
 
-        lhs_n = counting_N(shifted, r, of=kind)
-        main_n = _counting_factor(c_abs, r) * counting_N(model, r + c_abs, of=kind)
-        used_n = lhs_n - main_n - const_n[kind]
+        lhs_n = lhs_ns[i]
+        main_n = _counting_factor(c_abs, r) * base_ns[i + 1]
+        used_n = lhs_n - main_n - base_ns[0]
 
-        lhs_t = lhs_mean.value + counting_N(shifted, r, of="poles")
-        far_t = far_mean.value + counting_N(model, r + c_abs, of="poles")
+        lhs_t = lhs_mean.value + lhs_ps[i]
+        far_t = far_mean.value + base_ps[i + 1]
         main_t = _char_factor(c_abs, r) * far_t
         err_t = lhs_mean.error + _char_factor(c_abs, r) * far_mean.error
         used_t = lhs_t - main_t - const_t

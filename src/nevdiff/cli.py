@@ -427,10 +427,19 @@ def cmd_characteristic(cfg: RunConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses arguments with a ValueError, which main reports as one
+    `error: <subcommand>: ...` line, instead of usage lines and exit 2."""
+
+    def error(self, message: str):
+        sub = self.prog.partition(" ")[2]
+        raise ValueError(f"{sub}: {message}" if sub else message)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # no prefix matching: an unknown flag is an error, never a longer one
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="nevdiff",
         description="degree classification and numerical growth checks for "
         "shift-polynomial equations",
@@ -534,9 +543,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-    except SystemExit as exc:
-        return OK if exc.code in (0, None) else OPERATIONAL_ERROR
-    try:
         if extra:
             raise ValueError(f"{args.subcommand}: unrecognized arguments: {' '.join(extra)}")
         cfg = _resolve(args)
@@ -544,6 +550,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(cfg.dump())
             return OK
         return _DISPATCH[cfg.subcommand](cfg)
+    except SystemExit as exc:  # --help
+        return OK if exc.code in (0, None) else OPERATIONAL_ERROR
     except (ParseError, ValueError, OSError, poleprop.Overflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return OPERATIONAL_ERROR

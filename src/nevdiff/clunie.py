@@ -243,16 +243,6 @@ def _admissibility(prof: DegreeProfile) -> AdmissibilityReport:
     )
 
 
-def identity_condition(prof: DegreeProfile) -> bool:
-    """Closed form for `pole_margin == lhs_weight` in admissible equations."""
-    return (
-        prof.numerator_valuation <= prof.lhs_unshifted_degree
-        and prof.lhs_weight == prof.denominator_degree - prof.numerator_valuation
-        and prof.denominator_degree - prof.numerator_valuation
-        >= prof.numerator_degree - prof.lhs_unshifted_degree
-    )
-
-
 def verdict(eq: ClunieEquation) -> Verdict:
     """Value-distribution conclusions for one admissible equation."""
     report = admissible(eq)

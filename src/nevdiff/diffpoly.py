@@ -239,15 +239,3 @@ def evaluate(p: DiffPolynomial, w: Callable[[complex], complex], z: complex) -> 
                 term *= base**e
         acc += term
     return acc
-
-
-def scale_coefficients(p: DiffPolynomial, factor: RatZ) -> DiffPolynomial:
-    """Multiply every numeric coefficient by a nonzero rational constant."""
-    if factor.is_zero:
-        raise ValueError("scale factor must be nonzero")
-    out = []
-    for coeff, idx in p.terms:
-        if isinstance(coeff, SymbolicCoeff):
-            raise SymbolicCoefficient("cannot scale symbolic coefficients")
-        out.append((coeff * factor, idx))
-    return normalize(p.shifts, out)

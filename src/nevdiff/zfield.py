@@ -65,12 +65,6 @@ def zp_pow(a: ZPoly, n: int) -> ZPoly:
     return out
 
 
-def zp_scale(a: ZPoly, k: int) -> ZPoly:
-    if k == 0:
-        return ZP_ZERO
-    return tuple(c * k for c in a)
-
-
 def zp_eval(a: ZPoly, z: complex) -> complex:
     acc: complex = 0
     for c in reversed(a):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nevdiff import charfn as cf
-from nevdiff.zfield import zp_add, zp_mul, zp_scale
+from nevdiff.zfield import zp_add, zp_mul
 
 F0, F1 = F(0), F(1)
 
@@ -109,6 +109,50 @@ def test_counting_index_matches_oracle(model):
             got = cf.counting_N(model, r, of=of)
             want = _counting_reference(model, r, of)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (of, r)
+
+
+def _counting_one_radius(model, r, of):
+    """counting_N as it was computed one radius at a time."""
+    mags, prefix_m, prefix_mlog, n0, rings = cf._counting_arrays(model, of)
+    k = int(np.searchsorted(mags, r, side="right"))
+    total = prefix_m[k] * math.log(r) - prefix_mlog[k]
+    return float(total + n0 * math.log(r)) + sum(
+        ring.mult * cf._ring_counting(ring, r) for ring in rings
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        cf.model_from_spec("shift:2+i:product:s=3"),
+        cf.model_from_spec("rational:{z^2-2}/{z^4-5*z^3+6*z^2}"),  # poles 0, 0, 2, 3
+        # its rings of 300 and 5000 points are in the point index
+        cf.Shifted(PRODUCT3, 20.0),
+    ],
+    ids=lambda m: m.label[:30],
+)
+def test_counting_grid_is_counting_n_bit_for_bit(model):
+    # ring radii and pole magnitudes exactly, and just either side of them
+    radii = [1.0, 1.0 + 1e-12, 2.0, 7.0, 8.0, 16.0, 32.0, 33.0, 100.0, 1e4]
+    radii += [edge * (1 + d) for edge in (8.0, 16.0, 32.0) for d in (-1e-9, 1e-9)]
+    radii += [abs(32 - 2 - 1j) * 1.5, 1.5] + _grid(1.0, 1e4, 200)
+    for of in ("zeros", "poles"):
+        want = [_counting_one_radius(model, r, of).hex() for r in radii]
+        assert [n.hex() for n in cf._counting_grid(model, radii, of)] == want
+        assert [cf.counting_N(model, r, of=of).hex() for r in radii] == want
+    for s in cf.characteristic_samples(model, radii[2:5]):
+        assert s.N.hex() == _counting_one_radius(model, s.r, "poles").hex()
+
+
+def test_counting_below_radius_one_is_refused():
+    model = cf.model_from_spec("rational:{z^2-2}/{z^3-z^2}")
+    for call in (
+        lambda: cf.counting_N(model, 0.5),
+        lambda: cf._counting_grid(model, [2.0, 0.5], "poles"),
+        lambda: cf.characteristic_samples(model, [2.0, 0.5]),
+    ):
+        with pytest.raises(ValueError, match=r"^counting is reported for r >= 1$"):
+            call()
 
 
 def test_pole_ring_nudges_only_on_the_ring():
@@ -248,16 +292,17 @@ def _grid(lo, hi, n):
     return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
 
 
+# 80 radii span two blocks, unseeded circles too, which evaluate only the
+# probe first
 BLOCK_CASES = [
-    (NEAR_POLES, _grid(3.0, 7.0, 20) + [4.99, 5.01]),
-    (cf.ExpPoly((F0, F1, F(1, 3))), _grid(0.5, 30.0, 24)),
-    (cf.ExpExp(), _grid(0.5, 8.0, 24)),
-    (SMALL_RING, _grid(6.0, 20.0, 24)),
-    (cf.Shifted(SMALL_RING, 2 + 1j), _grid(6.0, 20.0, 24)),
-    (cf.Quotient(cf.Shifted(QUADRATIC, 1j), QUADRATIC), _grid(0.9, 1e4, 24)),
-    (cf.PowerModel(NEAR_POLES, -2), _grid(3.0, 7.0, 20) + [4.99, 5.01]),
-    # unseeded circles evaluate only the probe first: 40 of them span two blocks
-    (cf.Shifted(cf.ExpExp(), 1.0), _grid(0.5, 6.0, 40)),
+    (NEAR_POLES, _grid(3.0, 7.0, 78) + [4.99, 5.01]),
+    (cf.ExpPoly((F0, F1, F(1, 3))), _grid(0.5, 30.0, 80)),
+    (cf.ExpExp(), _grid(0.5, 8.0, 80)),
+    (SMALL_RING, _grid(6.0, 20.0, 80)),
+    (cf.Shifted(SMALL_RING, 2 + 1j), _grid(6.0, 20.0, 80)),
+    (cf.Quotient(cf.Shifted(QUADRATIC, 1j), QUADRATIC), _grid(0.9, 1e4, 80)),
+    (cf.PowerModel(NEAR_POLES, -2), _grid(3.0, 7.0, 78) + [4.99, 5.01]),
+    (cf.Shifted(cf.ExpExp(), 1.0), _grid(0.5, 6.0, 80)),
 ]
 
 
@@ -276,6 +321,45 @@ def test_circle_means_block_matches_each_circle_alone(model, radii):
     assert len(radii) * (257 + 3 * 64) > cf._BLOCK_POINTS
     evaluations = [m.evaluations for m in block]
     assert max(evaluations) > min(evaluations)
+
+
+def _record_sizes(monkeypatch, cls):
+    """The size of every argument of cls.log_abs from now on."""
+    sizes = []
+    log_abs = cls.log_abs
+
+    def recording(self, z):
+        sizes.append(z.size)
+        return log_abs(self, z)
+
+    monkeypatch.setattr(cls, "log_abs", recording)
+    return sizes
+
+
+def test_probe_rows_are_evaluated_in_chunks(monkeypatch):
+    # a chunk's complex points stay under 64 KiB
+    assert cf._CHUNK_ROWS * len(cf._PROBE) * 16 < 65536
+    radii = _grid(0.5, 3.0, 32) + [4.99, 5.01, 4.95]
+    seeded = [r for r in radii if NEAR_POLES.seed_angles(r)]
+    assert seeded == radii[32:]
+    alone = [cf.circle_means(NEAR_POLES, [r], tol_unit=1e-8)[0] for r in radii]
+    sizes = _record_sizes(monkeypatch, cf.RationalFn)
+    assert cf.circle_means(NEAR_POLES, radii, tol_unit=1e-8) == alone
+    # one block: rows 0-14, rows 15-29, then rows 30-34 with the seeded
+    # circles' panel ends and midpoints
+    panels = sum(len(cf._initial_panels(NEAR_POLES.seed_angles(r), 64)[0]) for r in seeded)
+    assert sizes[:3] == [15 * 257, 15 * 257, 5 * 257 + 3 * panels]
+
+
+def test_block_of_at_most_15_circles_makes_one_model_call(monkeypatch):
+    radii = _grid(1.0, 60.0, 16)
+    sizes = _record_sizes(monkeypatch, cf.ExpPoly)
+    # every circle is accepted in its first round
+    assert [m.evaluations for m in cf.circle_means(EXP_Z, radii[:15], tol_unit=1e-8)] == [257] * 15
+    assert sizes == [15 * 257]
+    sizes.clear()
+    cf.circle_means(EXP_Z, radii, tol_unit=1e-8)
+    assert sizes == [15 * 257, 257]
 
 
 # the scale probe is the first two Simpson rounds of a circle with no seed
@@ -387,6 +471,28 @@ def test_block_of_probed_and_seeded_circles_fails_in_order():
     ]
 
 
+def test_failures_across_a_chunk_boundary():
+    # r = 4.9 is the last row of the first chunk, but its panels are evaluated
+    # in the second, with the probe of r = 800, which overflows
+    radii = _grid(2.0, 4.0, 14) + [4.9, 800.0, 6.0]
+    seeded = [bool(EXPEXP_OVER_POLES.seed_angles(r)) for r in radii]
+    assert seeded == [False] * 14 + [True, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, err = cf._means_prefix(EXPEXP_OVER_POLES, radii, 1e-8, 64, 200)
+        assert len(means) == 14
+        assert str(err) == "budget exhausted at r=4.9 (809 evaluations)"
+        means, err = cf._means_prefix(EXPEXP_OVER_POLES, radii, 1e-8, 64, 300)
+    assert isinstance(err, cf.NumericalBreakdown)
+    assert str(err) == "non-finite integrand at r=800"
+    # the means were taken from the quadrature that made one model call
+    assert [(m.value.hex(), m.error.hex(), m.evaluations) for m in means[12:]] == [
+        ("0x1.6b6aa588be393p+2", "0x1.6e64a4a6d8e35p-24", 609),
+        ("0x1.91ea0bdb53e09p+2", "0x1.5de6c58cc4bfdp-24", 609),
+        ("0x1.57a538f9bbca0p+3", "0x1.d66e45d3cec00p-23", 1057),
+    ]
+
+
 def test_block_raises_for_the_first_failing_radius_in_order():
     # alone, r = 4.95 exhausts the budget in fewer rounds than r = 4.9
     radii = [3.0, 4.9, 4.95, 6.0]
@@ -414,6 +520,63 @@ def test_pole_on_circle_perturbs():
     mean = cf.proximity_m(INV_SHIFT, 1.0)
     assert mean.radius > 1.0
     assert mean.radius == pytest.approx(1.0, rel=1e-8)
+
+
+# Radii on a pole magnitude or on a shifted pole ring's crossings, nudged by
+# the whole grid at once; the expected radii were taken from the nudge that
+# searched the pole index one radius at a time.
+THROUGH = abs(32j - 3.0)  # point 1250 of the ring 32 e^{2 pi i j/5000}, shifted by -3
+GRID_NUDGES = [
+    (NEAR_POLES, [4.0, 5.0, 5.0 * (1 + 1e-9), 6.0, 25.0],
+     ["0x1.0000000000000p+2", "0x1.400000055e63cp+2", "0x1.400000055e63cp+2",
+      "0x1.8000000000000p+2", "0x1.9000000000000p+4"]),
+    (cf.PowerModel(cf.Shifted(PRODUCT3, 3.0), -2),
+     [THROUGH, 29.0, 0.5 * (THROUGH + abs(32 * cmath.exp(2j * math.pi * 1251 / 5000) - 3.0)),
+      31.5, 35.0],
+     ["0x1.011f5eb9919c4p+5", "0x1.d0000007c8dd7p+4", "0x1.012336986c292p+5",
+      "0x1.f800000000000p+4", "0x1.18000004b2974p+5"]),
+    (cf.Quotient(cf.Shifted(PRODUCT3, 3.0), PRODUCT3), [16.0, 31.5, 32.0, 33.0],
+     ["0x1.000000044b830p+4", "0x1.f800000000000p+4", "0x1.000000044b830p+5",
+      "0x1.0800000000000p+5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "model, radii, nudged", GRID_NUDGES, ids=[m.label[:30] for m, *_ in GRID_NUDGES]
+)
+def test_grid_nudges_the_radii_on_poles(model, radii, nudged):
+    used, err = cf._off_poles(model, radii)
+    assert err is None
+    assert [r.hex() for r in used] == nudged
+
+
+def test_grid_nudge_on_characteristic_samples():
+    samples = cf.characteristic_samples(NEAR_POLES, [4.0, 5.0, 6.0])
+    assert [s.r.hex() for s in samples] == [
+        "0x1.0000000000000p+2", "0x1.400000055e63cp+2", "0x1.8000000000000p+2"
+    ]
+
+
+class StackedPoles(cf.MeromorphicModel):
+    """Poles at 5 and at the two radii that 5 is nudged to, so that the
+    circle |z| = 5 stays on a pole after 3 nudges."""
+
+    def log_abs(self, z):
+        return np.zeros(z.shape)
+
+    def poles(self, radius):
+        mags = [5.0, 5.0 * (1.0 + 1e-9)]
+        mags.append(mags[-1] * (1.0 + 1e-9))
+        return [(complex(m), 1) for m in mags if m <= radius]
+
+
+def test_pole_that_stays_on_the_circle_ends_the_grid():
+    samples, err = cf._characteristic_prefix(StackedPoles(), [4.0, 5.0, 6.0], 1e-8)
+    assert [s.r for s in samples] == [4.0]
+    assert isinstance(err, cf.PoleOnCircle)
+    assert str(err) == "poles stayed on |z| = 5 after 3 nudges"
+    with pytest.raises(cf.PoleOnCircle, match=r"^poles stayed on \|z\| = 5 after 3 nudges$"):
+        cf.proximity_m(StackedPoles(), 5.0)
 
 
 # -- characteristic -------------------------------------------------------------
@@ -483,7 +646,7 @@ def test_shift_check_closed_form_pole():
 
 def test_shift_check_zero_shift_trivial():
     # factor 1, base constant N(1) = 0: the gap is exactly zero
-    row = cf.shift_inequality_check(INV_SHIFT, 0.0, 50.0)
+    [row] = cf.shift_inequality_sweep(INV_SHIFT, 0.0, 50.0, 50.0)
     assert row.counting_ok and row.char_ok
     assert row.counting_slack_used == pytest.approx(0.0, abs=1e-12)
 
@@ -623,7 +786,7 @@ def test_valiron_degree_law_composition():
     # R(w) = (w^2 + 1)/(w - 2) composed with f = (z^2 + 3)/(z + 1)
     fn, fd = (3, 0, 1), (1, 1)
     comp_num = zp_add(zp_mul(fn, fn), zp_mul(fd, fd))
-    comp_den = zp_mul(fd, zp_add(fn, zp_scale(fd, -2)))
+    comp_den = zp_mul(fd, zp_add(fn, tuple(-2 * c for c in fd)))
     f = cf.RationalFn((F(3), F0, F1), (F1, F1))
     rf = cf.RationalFn(tuple(F(c) for c in comp_num), tuple(F(c) for c in comp_den))
     r = 1e4

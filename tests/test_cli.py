@@ -240,6 +240,24 @@ def test_unknown_flags_exit_one(capsys, argv, flag):
     assert err == f"error: {argv[0]}: unrecognized arguments: {flag}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["logdiff-check", "--hor", "10"], "the following arguments are required: --model"),
+        (["growth-scan", "--growth", "power:2", "--variant", "dense"],
+         "argument --variant: invalid choice: 'dense' (choose from 'density', 'logmeasure', "
+         "'fixed')"),
+        (["logdiff-check", "--model", "exp:z", "--delta", "abc"],
+         "argument --delta: invalid float value: 'abc'"),
+    ],
+)
+def test_argparse_refusals_are_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[0]}: {message}\n"
+
+
 def test_json_format_from_config_only_where_there_is_a_json_report(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("fmt = json\n", encoding="utf-8")

@@ -188,7 +188,13 @@ def test_identity_closed_form_matches_margin_scan():
         prof = DegreeProfile.from_counts(2, 2, 2, 1, 0, deg_u, deg_q, ord0)
         if not clunie._admissibility(prof).ok:
             continue
-        assert clunie.identity_condition(prof) == (prof.pole_margin == prof.lhs_weight)
+        identity = (
+            prof.numerator_valuation <= prof.lhs_unshifted_degree
+            and prof.lhs_weight == prof.denominator_degree - prof.numerator_valuation
+            and prof.denominator_degree - prof.numerator_valuation
+            >= prof.numerator_degree - prof.lhs_unshifted_degree
+        )
+        assert identity == (prof.pole_margin == prof.lhs_weight)
 
 
 def test_margin_never_exceeds_weight_when_admissible():
@@ -201,11 +207,11 @@ def test_margin_never_exceeds_weight_when_admissible():
 
 
 def test_scaling_coefficients_changes_nothing():
-    from nevdiff.diffpoly import scale_coefficients
     from nevdiff.zfield import ratz
 
     eq = parse_equation("w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1) = ({3}*w^2+{1})/(w^2+{2})")
-    scaled_num = scale_coefficients(eq.numerator, ratz((7,), (2,)))
+    p = eq.numerator
+    scaled_num = dp.normalize(p.shifts, [(c * ratz((7,), (2,)), idx) for c, idx in p.terms])
     from dataclasses import replace
 
     eq2 = replace(eq, numerator=scaled_num)

@@ -218,7 +218,7 @@ def test_reorder_and_scale_invariance(indices, rng):
     rng.shuffle(shuffled)
     q = normalize(two_shifts(), shuffled)
     assert p == q
-    scaled = dp.scale_coefficients(p, ratz((7,), (3,)))
+    scaled = normalize(p.shifts, [(c * ratz((7,), (3,)), idx) for c, idx in p.terms])
     for op in (dp.total_degree, dp.weight, dp.shifted_degree, dp.unshifted_degree,
                dp.order_at_zero):
         assert op(scaled) == op(p)

@@ -1,0 +1,21 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paper_checks.py"
+
+
+def _digest(out_dir):
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), str(out_dir)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 13
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", lines[-1])
+    return lines[-1]
+
+
+def test_paper_checks_end_with_one_stable_digest(tmp_path):
+    assert _digest(tmp_path / "a") == _digest(tmp_path / "b")

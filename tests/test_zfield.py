@@ -17,7 +17,6 @@ from nevdiff.zfield import (
     zp_mul,
     zp_normal,
     zp_primitive,
-    zp_scale,
     zp_text,
 )
 
@@ -191,7 +190,7 @@ def test_divexact_raises_when_inexact(a, b, r):
     with pytest.raises(ArithmeticError):
         zp_divexact(zp_add(zp_mul(a, b), rem), b)
     with pytest.raises(ArithmeticError):
-        zp_divexact(b, zp_scale(b, 2))  # exact over Q, not over Z
+        zp_divexact(b, tuple(2 * c for c in b))  # exact over Q, not over Z
 
 
 @given(zpolys, zpolys, nonzero_zpolys)
