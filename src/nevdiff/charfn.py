@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -24,6 +23,7 @@ import numpy as np
 from .growth import (
     DensityReport,
     ExceptionSet,
+    Model,
     densities,
     exception_set_from_grid,
     geometric_grid,
@@ -77,7 +77,7 @@ class Ring(NamedTuple):
 Divisor = Tuple[np.ndarray, np.ndarray, Tuple[Ring, ...]]
 
 
-class MeromorphicModel:
+class MeromorphicModel(Model):
     """A concrete function given by stable log-modulus and explicit divisors."""
 
     label = "model"
@@ -143,17 +143,17 @@ def _cluster_roots(roots: np.ndarray) -> List[Tuple[complex, int]]:
     return snapped
 
 
-@dataclass(frozen=True)
 class RationalFn(MeromorphicModel):
     """num/den with exact rational coefficients, ascending powers, coprime."""
 
-    num: Tuple[Fraction, ...]
-    den: Tuple[Fraction, ...]
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        if not any(self.num) or not any(self.den):
+    def __init__(self, num: Tuple[Fraction, ...], den: Tuple[Fraction, ...]):
+        if not any(num) or not any(den):
             raise ValueError("numerator and denominator must be nonzero")
-        _require_coprime(self.num, self.den)
+        _require_coprime(num, den)
+        self.num = num
+        self.den = den
 
     @property
     def label(self) -> str:
@@ -243,7 +243,6 @@ def _poly_roots(coeffs: Tuple[Fraction, ...]) -> Tuple[Tuple[complex, int], ...]
     return tuple(_cluster_roots(roots))
 
 
-@dataclass(frozen=True)
 class CanonicalProduct(MeromorphicModel):
     """Finite product of ring factors 1 - (z/r_k)^(n_k).
 
@@ -252,19 +251,20 @@ class CanonicalProduct(MeromorphicModel):
     unity scaled by r_k.
     """
 
-    levels: Tuple[Tuple[float, int], ...]
+    _fields = ("levels",)
 
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, levels: Tuple[Tuple[float, int], ...]):
+        if not levels:
             raise ValueError("need at least one level")
-        if self.levels[0][0] <= 6:
+        if levels[0][0] <= 6:
             raise ValueError("first ring radius must exceed 6")
-        for (r0, _), (r1, _) in zip(self.levels, self.levels[1:]):
+        for (r0, _), (r1, _) in zip(levels, levels[1:]):
             if r1 < 2 * r0:
                 raise ValueError("ring radii must at least double")
-        for _, n in self.levels:
+        for _, n in levels:
             if n < 1:
                 raise ValueError("ring multiplicities are positive integers")
+        self.levels = levels
 
     @property
     def label(self) -> str:
@@ -347,11 +347,13 @@ def _ring_log_abs(z: np.ndarray, rk: float, nk: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class ExpPoly(MeromorphicModel):
     """exp(p(z)) for a polynomial p with rational coefficients."""
 
-    exponent: Tuple[Fraction, ...]
+    _fields = ("exponent",)
+
+    def __init__(self, exponent: Tuple[Fraction, ...]):
+        self.exponent = exponent
 
     @property
     def label(self) -> str:
@@ -372,7 +374,6 @@ class ExpPoly(MeromorphicModel):
         return _polyval(self._floats, z).real
 
 
-@dataclass(frozen=True)
 class ExpExp(MeromorphicModel):
     """exp(exp(z)); zero-free and pole-free, hyper-order one."""
 
@@ -382,10 +383,12 @@ class ExpExp(MeromorphicModel):
         return np.exp(z.real) * np.cos(z.imag)
 
 
-@dataclass(frozen=True)
 class Shifted(MeromorphicModel):
-    base: MeromorphicModel
-    c: complex
+    _fields = ("base", "c")
+
+    def __init__(self, base: MeromorphicModel, c: complex):
+        self.base = base
+        self.c = c
 
     @property
     def label(self) -> str:
@@ -453,45 +456,14 @@ def _ring_crossing_angles(r: float, c: complex, rk: float) -> List[float]:
     return [base + d, base - d]
 
 
-@dataclass(frozen=True)
-class PowerModel(MeromorphicModel):
-    base: MeromorphicModel
-    k: int
-
-    @property
-    def label(self) -> str:
-        return f"pow:{self.k}:{self.base.label}"
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return self.k * self.base.log_abs(z)
-
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        src = self.base.zeros(radius) if self.k > 0 else self.base.poles(radius)
-        return [(z, abs(self.k) * m) for z, m in src]
-
-    def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        src = self.base.poles(radius) if self.k > 0 else self.base.zeros(radius)
-        return [(z, abs(self.k) * m) for z, m in src]
-
-    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
-        base_kind = kind if self.k > 0 else _OTHER_KIND[kind]
-        mags, mults, rings = self.base.divisor_blocks(base_kind, offset)
-        k = abs(self.k)
-        return mags, k * mults, tuple(ring._replace(mult=k * ring.mult) for ring in rings)
-
-    def band_error(self, r: float, offset: complex = 0j) -> float:
-        return abs(self.k) * self.base.band_error(r, offset)
-
-    def seed_angles(self, r: float) -> List[float]:
-        return self.base.seed_angles(r)
-
-
-@dataclass(frozen=True)
 class Quotient(MeromorphicModel):
     """num/den evaluated jointly in log space (never a ratio of averages)."""
 
-    num: MeromorphicModel
-    den: MeromorphicModel
+    _fields = ("num", "den")
+
+    def __init__(self, num: MeromorphicModel, den: MeromorphicModel):
+        self.num = num
+        self.den = den
 
     @property
     def label(self) -> str:
@@ -522,8 +494,7 @@ class Quotient(MeromorphicModel):
 # adaptive circle quadrature
 
 
-@dataclass(frozen=True, slots=True)
-class CircleMean:
+class CircleMean(NamedTuple):
     value: float
     error: float
     radius: float
@@ -870,8 +841,7 @@ def _ring_counting(ring: Ring, r: float) -> float:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class CharacteristicSample:
+class CharacteristicSample(NamedTuple):
     r: float
     m: float
     N: float
@@ -971,8 +941,7 @@ def _characteristic_prefix(
 # shift inequalities
 
 
-@dataclass(frozen=True)
-class ShiftCheckRow:
+class ShiftCheckRow(NamedTuple):
     """Both displayed shift inequalities at one radius.
 
     The additive constant of each inequality is instantiated as the value of
@@ -1106,8 +1075,7 @@ def log_diff_m(
     return proximity_m(quotient, r, tol_unit=tol_unit)
 
 
-@dataclass(frozen=True)
-class LogDiffReport:
+class LogDiffReport(NamedTuple):
     rows: Tuple[Tuple[float, float, float, bool], ...]  # r, lhs, rhs, ok
     skipped: Tuple[float, ...]
     exceptions: ExceptionSet
@@ -1195,8 +1163,7 @@ def verify_logdiff_bound(
 # the separating product example
 
 
-@dataclass(frozen=True)
-class ProductCertificate:
+class ProductCertificate(NamedTuple):
     rows: Tuple[Tuple[int, float, int, float, bool], ...]  # k, r_k, n_k, threshold, ok
     doubling_ok: bool
     base_ok: bool
@@ -1241,8 +1208,7 @@ def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, Pr
     return CanonicalProduct(tuple(levels)), cert
 
 
-@dataclass(frozen=True)
-class ProductWindowRow:
+class ProductWindowRow(NamedTuple):
     r: float
     t_base: float
     t_shifted: float

@@ -15,8 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from . import charfn, clunie, growth, poleprop
 from .eqparse import (
@@ -38,8 +37,7 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     eq: Optional[str] = None
     file: Optional[str] = None
@@ -71,10 +69,7 @@ class RunConfig:
     dry_run: bool = False
 
     def dump(self) -> str:
-        rows = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            rows.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(rows) + "\n"
+        return "".join(f"{name} = {value}\n" for name, value in sorted(self._asdict().items()))
 
 
 def _read_config_file(path: str) -> dict:
@@ -91,25 +86,26 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the type that a field's text from a config line converts to; other fields are strings
+_FIELD_TYPES = {
+    **dict.fromkeys(("r_min", "r_max", "ratio", "delta", "eps", "horizon", "h", "big_k",
+                     "min_separation", "max_smallness", "max_log_measure", "tol_unit"), float),
+    **dict.fromkeys(("levels", "n1", "samples", "k0", "steps"), int),
+    "dry_run": bool,
+}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(name: str, value: str):
     target = _FIELD_TYPES.get(name)
-    if target in ("float", "Optional[float]"):
-        return float(value)
-    if target in ("int", "Optional[int]"):
-        return int(value)
-    if target == "bool":
+    if target is bool:
         if value.lower() not in _BOOLS:
             raise ValueError(f"{name} must be one of {', '.join(_BOOLS)}, got {value!r}")
         return _BOOLS[value.lower()]
-    return value
+    return value if target is None else target(value)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
     layers = [{}]
     if getattr(args, "config", None):
         layers.append(_read_config_file(args.config))
@@ -119,14 +115,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if k not in ("subcommand", "config") and v is not None
     }
     layers.append(flag_layer)
+    merged = {}
     for layer in layers:
         for key, value in layer.items():
-            if key not in _FIELD_TYPES or key == "subcommand":
+            if key not in RunConfig._fields or key == "subcommand":
                 raise ValueError(f"unknown config key {key!r}")
-            if isinstance(value, str):
-                value = _coerce(key, value)
-            setattr(cfg, key, value)
-    for name, value in vars(cfg).items():
+            merged[key] = _coerce(key, value) if isinstance(value, str) else value
+    cfg = RunConfig(args.subcommand, **merged)
+    for name, value in zip(cfg._fields, cfg):
         if isinstance(value, float) and not abs(value) < float("inf"):  # nan too
             raise ValueError(f"{name} must be finite, got {value}")
     if not cfg.tol_unit > 0:
@@ -262,10 +258,8 @@ def cmd_enumerate(cfg: RunConfig, reduce_list: bool) -> int:
         )
         families = outcome.kept
     if cfg.fmt == "json":
-        from dataclasses import asdict
-
         payload = [
-            asdict(f) | {"equation": clunie.family_equation_text(f, p)}
+            f._asdict() | {"equation": clunie.family_equation_text(f, p)}
             for f in families
         ]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
@@ -319,7 +313,7 @@ def cmd_logdiff_check(cfg: RunConfig) -> int:
             "exception_log_measure": lm,
             "negative_control": rep.negative_control,
             "skipped": len(rep.skipped),
-            "densities": rep.report.__dict__,
+            "densities": rep.report._asdict(),
         }
         rows = ["r,lhs,rhs,pass"] + [
             f"{_fmt(r)},{_fmt(lhs)},{_fmt(rhs)},{int(ok)}"
@@ -368,7 +362,7 @@ def cmd_growth_scan(cfg: RunConfig) -> int:
         "certified": res.certified,
         "window_divergent": res.window_divergent,
         "skipped": len(res.skipped),
-        "densities": res.report.__dict__,
+        "densities": res.report._asdict(),
     }
     _emit("\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True) + "\n", cfg)
     return OK if res.certified else REJECTED

@@ -17,9 +17,8 @@ as an explicit token (never evaluated).
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import diffpoly as dp
 from .diffpoly import DiffPolynomial
@@ -57,8 +56,7 @@ DENOMINATOR_REWRITE = "denominator-rewrite"
 CUBIC_NUMERATOR_PROXIMITY = "cubic-numerator-proximity"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """All degree functionals of one equation.
 
     `reduced_degree` is the total degree in w of the rational function
@@ -108,8 +106,7 @@ class DegreeProfile:
         )
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     ok: bool
     lhs_weight: int
     required: int  # max{deg Q - unshifted deg, deg U - min{unshifted deg, val Q}}
@@ -120,8 +117,7 @@ class AdmissibilityReport:
     valiron_ok: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     admissible: bool
     pole_density_bound: Optional[Fraction]  # lower bound for N(r,w)/T(r,w)
     zero_density_bound: Optional[Fraction]  # lower bound for N(r,1/w)/T(r,w)
@@ -129,8 +125,7 @@ class Verdict:
     ruled_out: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A maximal equation family: degree caps plus nonzero side conditions."""
 
     case: str
@@ -151,8 +146,7 @@ class FamilySpec:
         return out
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
+class ReductionOutcome(NamedTuple):
     kept: Tuple[FamilySpec, ...]
     removed: Tuple[Tuple[FamilySpec, str], ...]
     truncated: Tuple[Tuple[FamilySpec, FamilySpec], ...]
@@ -545,7 +539,7 @@ def report_dict(
     v: Verdict,
     families: Optional[Sequence[FamilySpec]] = None,
 ) -> dict:
-    out = {"profile": asdict(prof), "verdict": verdict_dict(v)}
+    out = {"profile": prof._asdict(), "verdict": verdict_dict(v)}
     if families is not None:
-        out["families"] = [asdict(f) for f in families]
+        out["families"] = [f._asdict() for f in families]
     return out

@@ -11,9 +11,8 @@ All values are immutable after `normalize`; every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Sequence, Tuple, Union
 
 from .zfield import RZ_ONE, RatZ
 
@@ -44,19 +43,23 @@ class PoleHit(DiffPolyError):
     """The evaluation point meets a pole of w or of a coefficient."""
 
 
-@dataclass(frozen=True)
-class Shift:
-    """One nonzero shift z -> z + c, with its 1-based slot in the multi-index."""
-
+class _ShiftFields(NamedTuple):
     re: Fraction
     im: Fraction
     index: int
 
-    def __post_init__(self):
-        if self.re == 0 and self.im == 0:
+
+class Shift(_ShiftFields):
+    """One nonzero shift z -> z + c, with its 1-based slot in the multi-index."""
+
+    __slots__ = ()
+
+    def __new__(cls, re: Fraction, im: Fraction, index: int) -> "Shift":
+        if re == 0 and im == 0:
             raise ValueError("shift must be nonzero")
-        if self.index < 1:
+        if index < 1:
             raise ValueError("shift index starts at 1")
+        return super().__new__(cls, re, im, index)
 
     @property
     def value(self) -> complex:
@@ -71,8 +74,7 @@ def shift(re, im=0, index: int = 1) -> Shift:
     return Shift(Fraction(re), Fraction(im), index)
 
 
-@dataclass(frozen=True)
-class SymbolicCoeff:
+class SymbolicCoeff(NamedTuple):
     """A named small coefficient, generically nonzero.
 
     `nonzero` records an explicit side condition (the DSL's `!=0` suffix);
@@ -89,8 +91,7 @@ MultiIndex = Tuple[int, ...]
 Term = Tuple[Coefficient, MultiIndex]
 
 
-@dataclass(frozen=True)
-class DiffPolynomial:
+class DiffPolynomial(NamedTuple):
     shifts: Tuple[Shift, ...]
     terms: Tuple[Term, ...]
 

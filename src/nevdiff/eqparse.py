@@ -18,9 +18,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diffpoly import (
     DiffPolynomial,
@@ -91,8 +90,7 @@ class Coprimality(enum.Enum):
     UNCHECKED = "unchecked"
 
 
-@dataclass(frozen=True)
-class ClunieEquation:
+class ClunieEquation(NamedTuple):
     """A validated triple: denominator * lhs = numerator.
 
     All three polynomials share one shift list; numerator and denominator
@@ -125,8 +123,7 @@ class ClunieEquation:
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # IDENT NUMBER OP NEQZERO END
     text: str
     pos: int
@@ -180,28 +177,33 @@ def _tokenize(text: str) -> List[_Tok]:
 # raw parse structures (pre-expansion)
 
 
-@dataclass
 class _RawTerm:
-    sign: int = 1
-    symbol: Optional[Tuple[str, bool, int]] = None  # name, nonzero flag, position
-    numeric: RatZ = RZ_ONE
-    saw_numeric: bool = False
-    exps: Dict[int, int] = field(default_factory=dict)  # slot -> exponent
-    groups: List[Tuple["_RawPoly", int]] = field(default_factory=list)
+    __slots__ = ("sign", "symbol", "numeric", "saw_numeric", "exps", "groups")
+
+    def __init__(self, sign: int = 1):
+        self.sign = sign
+        self.symbol: Optional[Tuple[str, bool, int]] = None  # name, nonzero flag, position
+        self.numeric: RatZ = RZ_ONE
+        self.saw_numeric = False
+        self.exps: Dict[int, int] = {}  # slot -> exponent
+        self.groups: List[Tuple[_RawPoly, int]] = []
 
 
-@dataclass
 class _RawPoly:
-    terms: List[_RawTerm] = field(default_factory=list)
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        self.terms: List[_RawTerm] = []
 
 
-@dataclass
 class _Ctx:
-    shift_slots: Dict[Tuple[Fraction, Fraction], int] = field(default_factory=dict)
-    shift_order: List[Tuple[Fraction, Fraction]] = field(default_factory=list)
-    symbols: Dict[str, int] = field(default_factory=dict)  # name -> first position
-    symbolic_pos: Optional[int] = None
-    numeric_pos: Optional[int] = None
+    __slots__ = ("shift_slots", "shift_order", "symbolic_pos", "numeric_pos")
+
+    def __init__(self):
+        self.shift_slots: Dict[Tuple[Fraction, Fraction], int] = {}
+        self.shift_order: List[Tuple[Fraction, Fraction]] = []
+        self.symbolic_pos: Optional[int] = None
+        self.numeric_pos: Optional[int] = None
 
     def slot_for(self, re: Fraction, im: Fraction) -> int:
         key = (re, im)
@@ -642,8 +644,7 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
     symbolic equations cannot be decided and are marked Asserted.
     """
     if eq.denominator.is_symbolic or eq.numerator.is_symbolic:
-        return replace(
-            eq,
+        return eq._replace(
             coprimality=Coprimality.ASSERTED,
             note="symbolic coefficients: coprimality asserted, not computed",
         )
@@ -654,7 +655,7 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
         raise CommonFactor(
             f"numerator and denominator share a factor of degree {g_deg} in w"
         )
-    return replace(eq, coprimality=Coprimality.VERIFIED, note=None)
+    return eq._replace(coprimality=Coprimality.VERIFIED, note=None)
 
 
 def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:

@@ -10,10 +10,7 @@ horizon value with a doubling-stability surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 E = math.e
 
@@ -34,7 +31,30 @@ class HypothesisViolation(GrowthError):
 # growth functions
 
 
-class GrowthFunction:
+class Model:
+    """A function given by its constructor arguments, whose names `_fields`
+    lists: they alone define equality, hashing and repr.  Instances are
+    never changed after construction."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class GrowthFunction(Model):
     """Positive growth data; fast-growing cases work through `log_value`."""
 
     label = "growth"
@@ -46,9 +66,11 @@ class GrowthFunction:
         return math.log(self.value(r))
 
 
-@dataclass(frozen=True)
 class PowerGrowth(GrowthFunction):
-    rho: float
+    _fields = ("rho",)
+
+    def __init__(self, rho: float):
+        self.rho = rho
 
     def value(self, r: float) -> float:
         return r**self.rho
@@ -61,12 +83,14 @@ class PowerGrowth(GrowthFunction):
         return f"power:{self.rho:g}"
 
 
-@dataclass(frozen=True)
 class ExpRootGrowth(GrowthFunction):
     """T(r) = scale * exp(r^alpha)."""
 
-    alpha: float
-    scale: float = 1.0
+    _fields = ("alpha", "scale")
+
+    def __init__(self, alpha: float, scale: float = 1.0):
+        self.alpha = alpha
+        self.scale = scale
 
     def value(self, r: float) -> float:
         return self.scale * math.exp(r**self.alpha)
@@ -79,7 +103,6 @@ class ExpRootGrowth(GrowthFunction):
         return f"exproot:{self.alpha:g}"
 
 
-@dataclass(frozen=True)
 class PureExpGrowth(GrowthFunction):
     def value(self, r: float) -> float:
         return math.exp(r)
@@ -88,69 +111,6 @@ class PureExpGrowth(GrowthFunction):
         return r
 
     label = "exp"
-
-
-class SampledGrowth(GrowthFunction):
-    """Tabulated growth data with log-log interpolation.
-
-    The table is repaired to a non-decreasing envelope; a repair beyond
-    1e-9 relative is an error, as is a midpoint convexity defect in log r
-    beyond the same tolerance.
-    """
-
-    label = "sampled"
-    REPAIR_TOL = 1e-9
-
-    def __init__(self, grid: Sequence[float], values: Sequence[float]):
-        g = np.asarray(grid, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or len(g) < 2:
-            raise ValueError("grid and values must be 1-d and aligned")
-        if not np.all(np.diff(g) > 0):
-            raise ValueError("grid radii must be strictly increasing")
-        if np.any(v <= 0):
-            raise ValueError("growth values must be positive")
-        envelope = np.maximum.accumulate(v)
-        repair = np.max((envelope - v) / np.maximum(v, 1e-300))
-        if repair > self.REPAIR_TOL:
-            raise HypothesisViolation(
-                f"monotone repair of {repair:.3e} exceeds {self.REPAIR_TOL:.0e}"
-            )
-        self.grid = g
-        self.values = envelope
-        self._log_r = np.log(g)
-        self._check_convexity()
-
-    def _check_convexity(self) -> None:
-        s, v = self._log_r, self.values
-        if len(s) < 3:
-            return
-        lam = (s[1:-1] - s[:-2]) / (s[2:] - s[:-2])
-        chord = v[:-2] * (1 - lam) + v[2:] * lam
-        defect = np.max((v[1:-1] - chord) / np.maximum(np.abs(chord), 1e-300))
-        if defect > self.REPAIR_TOL:
-            raise HypothesisViolation(
-                f"convexity defect {defect:.3e} in log r exceeds tolerance"
-            )
-
-    def value(self, r: float) -> float:
-        if r <= self.grid[0]:
-            return float(self.values[0])
-        if r >= self.grid[-1]:
-            return float(self.values[-1])
-        x = math.log(r)
-        k = int(np.searchsorted(self._log_r, x) - 1)
-        x0, x1 = self._log_r[k], self._log_r[k + 1]
-        t = (x - x0) / (x1 - x0)
-        # interpolate the values linearly in log r (convexity-safe)
-        return float(self.values[k] * (1 - t) + self.values[k + 1] * t)
-
-
-def sampled_from_function(
-    fn: Callable[[float], float], r_min: float, r_max: float, ratio: float = 1.01
-) -> SampledGrowth:
-    grid = geometric_grid(r_min, r_max, ratio)
-    return SampledGrowth(grid, [fn(r) for r in grid])
 
 
 # radii in the largest grid a scan builds
@@ -180,25 +140,28 @@ def geometric_grid(r_min: float, r_max: float, ratio: float) -> List[float]:
 # exception sets and densities
 
 
-@dataclass(frozen=True)
-class ExceptionSet:
+class _ExceptionSetFields(NamedTuple):
     intervals: Tuple[Tuple[float, float], ...]
     horizon: float
 
-    def __post_init__(self):
+
+class ExceptionSet(_ExceptionSetFields):
+    __slots__ = ()
+
+    def __new__(cls, intervals: Tuple[Tuple[float, float], ...], horizon: float) -> "ExceptionSet":
         prev = 1.0
-        for a, b in self.intervals:
-            if a < prev - 1e-12 or b < a or b > self.horizon + 1e-9:
+        for a, b in intervals:
+            if a < prev - 1e-12 or b < a or b > horizon + 1e-9:
                 raise ValueError("intervals must be disjoint, ordered, within horizon")
             prev = b
+        return super().__new__(cls, intervals, horizon)
 
     @property
     def is_empty(self) -> bool:
         return not self.intervals
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     lower_density: float
     upper_density: float
     linear_measure: float
@@ -286,16 +249,14 @@ def phi_eps(T: GrowthFunction, eps: float, r: float) -> float:
 # scans
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     r: float
     lhs: float
     rhs: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     rows: Tuple[ScanRow, ...]
     exceptions: ExceptionSet
     report: DensityReport
@@ -450,8 +411,7 @@ def scan_fixed_shift(
 # covering bound for slow landings (classical Edrei–Fuchs lemma)
 
 
-@dataclass(frozen=True)
-class CoveringBound:
+class CoveringBound(NamedTuple):
     measured: float
     bound: float
     rows: Tuple[ScanRow, ...]

@@ -11,9 +11,8 @@ is assertable bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .clunie import DegreeProfile, WrongBenchmark
 
@@ -28,8 +27,7 @@ class Overflow(Exception):
     """The chain would outgrow the float range."""
 
 
-@dataclass(frozen=True)
-class PoleChain:
+class PoleChain(NamedTuple):
     """Exact lower bounds (3/2)^n * k0 for pole orders along a progression.
 
     `ceilings` iterates the integer version c_{n+1} = ceil(3 c_n / 2);

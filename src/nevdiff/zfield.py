@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
 
 ZPoly = Tuple[int, ...]
 
@@ -171,8 +170,7 @@ def zp_text(a: ZPoly) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class RatZ:
+class RatZ(NamedTuple):
     """Reduced rational function num/den with integer-coefficient parts.
 
     Canonical form: den not zero, gcd(num, den) constant, joint content 1,

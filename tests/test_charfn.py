@@ -15,6 +15,12 @@ F0, F1 = F(0), F(1)
 Z_POLY = cf.RationalFn((F0, F1), (F1,))  # f(z) = z
 INV_SHIFT = cf.RationalFn((F1,), (F(-1), F1))  # f(z) = 1/(z-1)
 EXP_Z = cf.ExpPoly((F0, F1))  # e^z
+ONE = cf.RationalFn((F1,), (F1,))
+
+
+def _inverse(model):
+    """1/model: its poles are the model's zeros."""
+    return cf.Quotient(ONE, model)
 
 
 # -- divisors -------------------------------------------------------------------
@@ -92,7 +98,7 @@ PRODUCT3 = cf.CanonicalProduct(((8.0, 1), (16.0, 300), (32.0, 5000)))
         cf.Shifted(PRODUCT3, 1j),
         cf.Shifted(PRODUCT3, 2 + 1j),
         cf.Quotient(cf.Shifted(PRODUCT3, 3.0), PRODUCT3),
-        cf.PowerModel(PRODUCT3, -2),
+        _inverse(PRODUCT3),
         cf.RationalFn((F(-2), F0, F1), (F0, F0, F(-1), F1)),  # (z^2-2)/(z^2 (z-1))
     ],
     ids=lambda m: m.label[:40],
@@ -185,7 +191,7 @@ def test_ring_counting_matches_materialised_points(c):
     # the closed form's absolute error is about 1e-16 L |log(r/R)| for an
     # arc of L points, so a value that a barely entered arc makes near 0 is
     # pinned to 1e-13 absolute
-    for model in (cf.Shifted(RINGS, c), cf.PowerModel(cf.Shifted(RINGS, c), -2)):
+    for model in (cf.Shifted(RINGS, c), _inverse(cf.Shifted(RINGS, c))):
         of = "zeros" if isinstance(model, cf.Shifted) else "poles"
         pts = model.zeros(math.inf) if of == "zeros" else model.poles(math.inf)
         mags = [(abs(z), m) for z, m in pts]
@@ -235,7 +241,7 @@ def test_huge_ring_is_refused_where_it_would_be_materialised():
 
 def test_shifted_pole_ring_nudges_only_on_the_ring():
     # poles at 32 e^{2 pi i j/5000} - 3; j = 1250 sits at 32i - 3
-    model = cf.PowerModel(cf.Shifted(PRODUCT3, 3.0), -2)
+    model = _inverse(cf.Shifted(PRODUCT3, 3.0))
     through = abs(32j - 3.0)
     assert cf.proximity_m(model, through).radius == through * (1.0 + 1e-9)
     # the nearest point, 29, and the farthest, 35
@@ -246,7 +252,7 @@ def test_shifted_pole_ring_nudges_only_on_the_ring():
     assert cf.proximity_m(model, between).radius == between
     # the same for a shift within a factor 2 of the ring, whose points are
     # in the point index: j = 1250 sits at 32i - 20
-    model = cf.PowerModel(cf.Shifted(PRODUCT3, 20.0), -2)
+    model = _inverse(cf.Shifted(PRODUCT3, 20.0))
     through = abs(32j - 20.0)
     assert cf.proximity_m(model, through).radius == through * (1.0 + 1e-9)
     between = 0.5 * (through + abs(32 * cmath.exp(2j * math.pi * 1251 / 5000) - 20.0))
@@ -301,7 +307,7 @@ BLOCK_CASES = [
     (SMALL_RING, _grid(6.0, 20.0, 80)),
     (cf.Shifted(SMALL_RING, 2 + 1j), _grid(6.0, 20.0, 80)),
     (cf.Quotient(cf.Shifted(QUADRATIC, 1j), QUADRATIC), _grid(0.9, 1e4, 80)),
-    (cf.PowerModel(NEAR_POLES, -2), _grid(3.0, 7.0, 78) + [4.99, 5.01]),
+    (_inverse(NEAR_POLES), _grid(3.0, 7.0, 78) + [4.99, 5.01]),
     (cf.Shifted(cf.ExpExp(), 1.0), _grid(0.5, 6.0, 80)),
 ]
 
@@ -309,16 +315,25 @@ BLOCK_CASES = [
 @pytest.mark.parametrize(
     "model, radii", BLOCK_CASES, ids=[model.label[:30] for model, _ in BLOCK_CASES]
 )
-def test_circle_means_block_matches_each_circle_alone(model, radii):
+def test_circle_means_block_matches_each_circle_alone(monkeypatch, model, radii):
+    blocks = []
+    block_means = cf._block_means
+
+    def counting(*args, **kwargs):
+        blocks.append(len(args[1]))
+        return block_means(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "_block_means", counting)
     block = cf.circle_means(model, radii, tol_unit=1e-8)
+    # the radii span several blocks
+    assert len(blocks) >= 2 and sum(blocks) == len(radii)
     alone = [cf.circle_means(model, [r], tol_unit=1e-8)[0] for r in radii]
     for got, want in zip(block, alone):
         assert got.radius == want.radius
         assert got.value == want.value
         assert got.error == want.error
         assert got.evaluations == want.evaluations
-    # the radii span several blocks and mix long refinements with short ones
-    assert len(radii) * (257 + 3 * 64) > cf._BLOCK_POINTS
+    # the radii mix long refinements with short ones
     evaluations = [m.evaluations for m in block]
     assert max(evaluations) > min(evaluations)
 
@@ -530,7 +545,7 @@ GRID_NUDGES = [
     (NEAR_POLES, [4.0, 5.0, 5.0 * (1 + 1e-9), 6.0, 25.0],
      ["0x1.0000000000000p+2", "0x1.400000055e63cp+2", "0x1.400000055e63cp+2",
       "0x1.8000000000000p+2", "0x1.9000000000000p+4"]),
-    (cf.PowerModel(cf.Shifted(PRODUCT3, 3.0), -2),
+    (_inverse(cf.Shifted(PRODUCT3, 3.0)),
      [THROUGH, 29.0, 0.5 * (THROUGH + abs(32 * cmath.exp(2j * math.pi * 1251 / 5000) - 3.0)),
       31.5, 35.0],
      ["0x1.011f5eb9919c4p+5", "0x1.d0000007c8dd7p+4", "0x1.012336986c292p+5",
@@ -820,3 +835,23 @@ def test_quadrature_deterministic():
     a = cf.proximity_m(EXP_Z, 33.0)
     b = cf.proximity_m(EXP_Z, 33.0)
     assert a.value == b.value and a.error == b.error
+
+
+def test_models_compare_by_type_and_arguments():
+    a = cf.Shifted(PRODUCT3, 1.0)
+    b = cf.Shifted(cf.CanonicalProduct(PRODUCT3.levels), 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != cf.Shifted(PRODUCT3, 2.0)
+    # a tuple, and another model type, with the same arguments
+    assert a != (PRODUCT3, 1.0) and a != cf.Quotient(PRODUCT3, 1.0)
+    assert cf.Quotient(ONE, EXP_Z) != cf.Quotient(EXP_Z, ONE)
+    assert cf.ExpExp() == cf.ExpExp() != EXP_Z
+    assert cf.RationalFn((F1,), (F1,)) == ONE and hash(cf.RationalFn((F1,), (F1,))) == hash(ONE)
+    assert repr(cf.Shifted(cf.CanonicalProduct(((8.0, 1),)), 1.0)) == (
+        "Shifted(base=CanonicalProduct(levels=((8.0, 1),)), c=1.0)"
+    )
+    # an equal model reuses the counting index that an earlier one built
+    cf._counting_arrays.cache_clear()
+    cf.counting_N(cf.Shifted(PRODUCT3, 2.0), 40.0, of="zeros")
+    cf.counting_N(cf.Shifted(cf.CanonicalProduct(PRODUCT3.levels), 2.0), 40.0, of="zeros")
+    assert cf._counting_arrays.cache_info().misses == 1

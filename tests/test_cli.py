@@ -1,10 +1,13 @@
+import dataclasses
+import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from nevdiff.cli import _build_parser, main
+from nevdiff.cli import _FIELD_TYPES, RunConfig, _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,12 +92,74 @@ def test_enumerate_deterministic(capsys):
     assert out1 == out2
 
 
+# the whole --dry-run report; `skip` is the empty string
+DRY_RUN_EXPEXP = "".join(
+    f"{line}\n"
+    for line in (
+        "big_k = 8.0",
+        "c_list = 1",
+        "delta = 0.25",
+        "dry_run = True",
+        "eps = 1.0",
+        "eq = None",
+        "file = None",
+        "fmt = text",
+        "growth_spec = None",
+        "h = 1.0",
+        "horizon = 10000.0",
+        "k0 = 1",
+        "levels = 2",
+        "max_log_measure = 1.0",
+        "max_smallness = None",
+        "min_separation = None",
+        "model = expexp",
+        "n1 = 1",
+        "out = None",
+        "poly = None",
+        "r_max = 2000.0",
+        "r_min = 20.0",
+        "ratio = 1.05",
+        "samples = 6",
+        "skip = ",
+        "steps = 20",
+        "subcommand = shift-check",
+        "tol_unit = 1e-08",
+        "variant = density",
+    )
+)
+
+
 def test_dry_run_prints_config(capsys):
-    code, out, _ = run(capsys, "shift-check", "--model", "expexp", "--dry-run")
+    code, out, err = run(capsys, "shift-check", "--model", "expexp", "--dry-run")
+    assert (code, out, err) == (0, DRY_RUN_EXPEXP, "")
+
+
+# Records are NamedTuples or plain classes: a dataclass's methods are
+# generated and compiled when its module is imported, which every run pays.
+DATACLASSES_ALLOWED = set()
+
+
+def test_no_dataclass_is_built_at_import():
+    found = {
+        f"{name}.{cls.__qualname__}"
+        for name, module in list(sys.modules.items())
+        if name == "nevdiff" or name.startswith("nevdiff.")
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == name and dataclasses.is_dataclass(cls)
+    }
+    assert "nevdiff.cli" in sys.modules
+    assert found == DATACLASSES_ALLOWED
+
+
+def test_config_text_converts_to_each_field_type(tmp_path, capsys):
+    for name, default in RunConfig._field_defaults.items():
+        if default is not None:
+            assert _FIELD_TYPES.get(name, str) is type(default), name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_separation = 2\nmax_smallness = 1e-3\nout = x.txt\n", encoding="utf-8")
+    code, out, _ = run(capsys, "product-example", "--config", str(cfg), "--dry-run")
     assert code == 0
-    assert "subcommand = shift-check" in out
-    assert "r_min = 20.0" in out
-    assert "seed" not in out
+    assert {"max_smallness = 0.001", "min_separation = 2.0", "out = x.txt"} <= set(out.splitlines())
 
 
 def test_config_file_layering(tmp_path, capsys):

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from nevdiff import growth as g
 
 
+def test_growth_functions_compare_by_type_and_arguments():
+    assert g.PowerGrowth(2) == g.PowerGrowth(2.0) != g.PowerGrowth(3)
+    assert g.ExpRootGrowth(0.5) == g.ExpRootGrowth(0.5, 1.0) != g.ExpRootGrowth(0.5, 2.0)
+    assert g.PowerGrowth(2) != g.ExpRootGrowth(2) and g.PowerGrowth(2) != (2,)
+    assert g.PureExpGrowth() == g.PureExpGrowth()
+    assert hash(g.PowerGrowth(2)) == hash(g.PowerGrowth(2.0))
+    assert repr(g.ExpRootGrowth(0.5)) == "ExpRootGrowth(alpha=0.5, scale=1.0)"
+
+
 def test_phi_pure_exp_is_one():
     T = g.PureExpGrowth()
     for r in (1.0, 5.0, 80.0):
@@ -85,10 +94,15 @@ def test_windowed_scan_guards_recorded():
     assert res.skipped, "guard region must be recorded"
 
 
+class RunningIntegral(g.GrowthFunction):
+    """T(r) = r - 1, the running integral of A(t)/t for A(t) = t."""
+
+    def value(self, r):
+        return max(r - 1.0, 1e-12)
+
+
 def test_windowed_scan_running_integral_instance():
-    # T(r) = r - 1 is the running integral of A(t)/t for A(t) = t
-    T = g.sampled_from_function(lambda r: max(r - 1.0, 1e-12), 1.0 + 1e-6, 3e4, 1.004)
-    res = g.scan_windowed_shift(T, 0.5, 1.0, 1e4)
+    res = g.scan_windowed_shift(RunningIntegral(), 0.5, 1.0, 1e4)
     assert res.exceptions.is_empty
 
 
@@ -198,24 +212,3 @@ def test_covering_bound_monotonicity_guard():
         g.edrei_fuchs_bound(lambda r: -r, lambda t: 1.0, 2.0, 10.0)
     with pytest.raises(g.HypothesisViolation):
         g.edrei_fuchs_bound(lambda r: r, lambda t: t, 2.0, 10.0)
-
-
-# -- sampled growth ---------------------------------------------------------------
-
-
-def test_sampled_requires_monotone():
-    with pytest.raises(g.HypothesisViolation):
-        g.SampledGrowth([1.0, 2.0, 3.0], [1.0, 5.0, 2.0])
-
-
-def test_sampled_requires_convexity_in_log_r():
-    # concave-in-log-r data must be rejected
-    grid = [1.0, 2.0, 4.0, 8.0]
-    vals = [1.0, 10.0, 13.0, 14.0]
-    with pytest.raises(g.HypothesisViolation):
-        g.SampledGrowth(grid, vals)
-
-
-def test_sampled_interpolates():
-    T = g.sampled_from_function(lambda r: r**2, 1.0, 100.0, 1.01)
-    assert T.value(37.3) == pytest.approx(37.3**2, rel=1e-4)
