@@ -272,8 +272,15 @@ class CanonicalProduct(MeromorphicModel):
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros(z.shape, dtype=float)
+        if out.size == 0:
+            return out
+        with np.errstate(divide="ignore"):
+            log_r = np.log(np.abs(z))
+        # a NaN point reads as z = 0, where every factor is 1
+        log_r = np.fmax(log_r, -np.inf)
+        lo, hi = log_r.min(), log_r.max()
         for rk, nk in self.levels:
-            out += _ring_log_abs(z, rk, nk)
+            _add_ring_log_abs(out, z, log_r, lo, hi, rk, nk)
         return out
 
     def zeros(self, radius: float) -> List[Tuple[complex, int]]:
@@ -329,22 +336,38 @@ class CanonicalProduct(MeromorphicModel):
         return out
 
 
-def _ring_log_abs(z: np.ndarray, rk: float, nk: int) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = nk * (np.log(np.abs(z)) - math.log(rk))
-    t = np.where(np.isnan(t), -np.inf, t)
-    out = np.where(t >= _EXACT_BAND, t, 0.0)
-    mid = (t > -_EXACT_BAND) & (t < _EXACT_BAND)
-    if np.any(mid):
-        if nk >= _RIPPLE_AVERAGE_N:
-            out = np.where(mid, np.maximum(t, 0.0), out)
-        else:
-            w = np.exp(nk * np.log(z[mid] / rk))
-            with np.errstate(divide="ignore"):
-                vals = np.log(np.abs(1.0 - w))
-            out = out.copy()
-            out[mid] = vals
-    return out
+def _add_ring_log_abs(out: np.ndarray, z: np.ndarray, log_r: np.ndarray,
+                      lo: float, hi: float, rk: float, nk: int) -> None:
+    """Adds the ring's log|1 - (z/rk)^nk| to out.  log_r is log|z| with NaN
+    read as -inf, and lo, hi are its extremes.
+
+    With t = nk (log|z| - log rk), a point takes t where t >= the band, 0
+    where t <= -band and the factor itself in between; a ring averaged over
+    its ripple takes max(t, 0).  t_lo and t_hi bound every point's t
+    exactly, since subtracting a constant and scaling by nk > 0 are
+    monotone under rounding, so a call wholly on one side of the band or
+    inside it needs no per-point test."""
+    log_rk = math.log(rk)
+    t_lo, t_hi = nk * (lo - log_rk), nk * (hi - log_rk)
+    if t_hi <= -_EXACT_BAND:
+        return
+    if nk >= _RIPPLE_AVERAGE_N or t_lo >= _EXACT_BAND:
+        # max(t, 0) is also t above the band and 0 below it
+        out += np.maximum(nk * (log_r - log_rk), 0.0)
+    elif t_lo > -_EXACT_BAND and t_hi < _EXACT_BAND:
+        out += _ring_factor(z, rk, nk)
+    else:
+        t = nk * (log_r - log_rk)
+        ring = np.where(t >= _EXACT_BAND, t, 0.0)
+        mid = (t > -_EXACT_BAND) & (t < _EXACT_BAND)
+        ring[mid] = _ring_factor(z[mid], rk, nk)
+        out += ring
+
+
+def _ring_factor(z: np.ndarray, rk: float, nk: int) -> np.ndarray:
+    # an integer power, not exp(nk log(z/rk)): for nk = 1 it is z/rk itself
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(1.0 - (z / rk) ** nk))
 
 
 class ExpPoly(MeromorphicModel):

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+perfbench/tracing.py wraps nevdiff's functions by name.  A renamed one is
+reported as an absent layer, and a non-finite layer value makes the
+benchmark's last line invalid JSON; either breaks a traced benchmark run
+without failing a call.  This runs the seed-0 shift-product call traced.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+from nevdiff import cli  # noqa: E402
+
+# reported by perfbench/run.py itself, not by the tracer
+RUN_METRICS = ("trace.overhead_s", "src.lines")
+
+
+def test_traced_shift_product_reports_every_layer(tmp_path):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        layer_names = [m["name"] for m in json.load(fh)["per_layer"]]
+    (call,) = workloads.build("shift-product", 0).calls
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(list(call.argv) + ["--out", str(tmp_path / "report.txt")])
+    finally:
+        tracer.uninstall()
+    assert code == call.exit_code
+    assert tracer.missing == []
+    table = tracer.summary()
+    assert sorted(set(layer_names) - set(RUN_METRICS) - set(table)) == []
+    assert all(math.isfinite(v) for v in table.values()), table
+    json.dumps(table, allow_nan=False)
+    assert table["charfn.model.calls"] > 0 and table["charfn.model.points"] > 0
