@@ -17,7 +17,7 @@ import json
 import sys
 from typing import List, NamedTuple, Optional, Sequence
 
-from . import charfn, clunie, growth, poleprop
+from . import charfn, clunie, diffpoly, growth, poleprop
 from .eqparse import (
     ClunieEquation,
     CommonFactor,
@@ -546,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _DISPATCH[cfg.subcommand](cfg)
     except SystemExit as exc:  # --help
         return OK if exc.code in (0, None) else OPERATIONAL_ERROR
-    except (ParseError, ValueError, OSError, poleprop.Overflow) as exc:
+    except (ParseError, diffpoly.DiffPolyError, ValueError, OSError, poleprop.Overflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return OPERATIONAL_ERROR
     except charfn.NumericalBreakdown as exc:

@@ -34,6 +34,10 @@ class BadIndex(DiffPolyError):
 class SymbolicDuplicate(DiffPolyError):
     """Two symbolic terms share a multi-index; their sum is ambiguous."""
 
+    def __init__(self, index: Tuple[int, ...]):
+        super().__init__(f"two symbolic terms share multi-index {index}")
+        self.index = index
+
 
 class SymbolicCoefficient(DiffPolyError):
     """Numeric evaluation requested on a symbolic polynomial."""
@@ -68,6 +72,14 @@ class Shift(_ShiftFields):
     @property
     def key(self) -> Tuple[Fraction, Fraction]:
         return (self.re, self.im)
+
+
+def shift_key(re: Fraction, im: Fraction) -> Tuple[int, int, int, int]:
+    """A key equal for two shift values exactly when the values are equal.
+
+    Fractions are kept in lowest terms, so their integer parts identify
+    them, and a tuple of ints hashes much faster than the Fractions."""
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
 def shift(re, im=0, index: int = 1) -> Shift:
@@ -118,9 +130,10 @@ def _check_widths(shifts: Sequence[Shift], terms: Sequence[Term]) -> None:
     for i, s in enumerate(shifts):
         if s.index != i + 1:
             raise BadIndex(f"shift at slot {i + 1} carries index {s.index}")
-        if s.key in seen:
+        key = shift_key(s.re, s.im)
+        if key in seen:
             raise ValueError(f"duplicate shift {s.value}")
-        seen.add(s.key)
+        seen.add(key)
     for _, idx in terms:
         if len(idx) != width:
             raise ValueError(f"multi-index {idx} does not match width {width}")
@@ -146,7 +159,7 @@ def normalize(shifts: Sequence[Shift], terms: Sequence[Term]) -> DiffPolynomial:
             continue
         prev = merged[idx]
         if isinstance(prev, SymbolicCoeff) or isinstance(coeff, SymbolicCoeff):
-            raise SymbolicDuplicate(f"two symbolic terms share multi-index {idx}")
+            raise SymbolicDuplicate(idx)
         merged[idx] = prev + coeff
     kept = [
         (coeff, idx)

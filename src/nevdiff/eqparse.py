@@ -16,8 +16,7 @@ words.  Parsing is total: any input yields an equation or a `ParseError`.
 from __future__ import annotations
 
 import enum
-import functools
-import math
+import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -25,8 +24,10 @@ from .diffpoly import (
     DiffPolynomial,
     Shift,
     SymbolicCoeff,
+    SymbolicDuplicate,
     constant_poly,
     normalize,
+    shift_key,
 )
 from .zfield import (
     RZ_ONE,
@@ -35,14 +36,11 @@ from .zfield import (
     ZP_ONE,
     ZP_ZERO,
     ZPoly,
-    prs_last,
     ratz,
+    wpoly_gcd_degree,
     zp_add,
-    zp_divexact,
-    zp_gcd,
     zp_mul,
     zp_neg,
-    zp_normal,
     zp_pow,
     zp_sub,
 )
@@ -129,48 +127,50 @@ class _Tok(NamedTuple):
     pos: int
 
 
-_OPS = set("+-*/^(){}=")
+_OPS = frozenset("+-*/^(){}=")
+_SIGNS = {"+": 1, "-": -1}
+# For str patterns `\w` is exactly `isalnum() or "_"` and `\d` exactly
+# `isdecimal()`, the digits that int() and Fraction() read.
+_WORD_REST = re.compile(r"\w*")
+_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_new_tok = tuple.__new__  # skips the NamedTuple's Python-level __new__
 
 
-def _tokenize(text: str) -> List[_Tok]:
+def _tokenize(text: str) -> Tuple[List[_Tok], List[str]]:
+    """The tokens, and beside them each token's operator character ('' when
+    the token is not an operator), so that an operator test is one index."""
     toks: List[_Tok] = []
+    ops: List[str] = []
+    tok, op = toks.append, ops.append
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        if ch in _OPS:
+            tok(_new_tok(_Tok, ("OP", ch, i)))
+            op(ch)
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(_Tok("NUMBER", text[i:j], i))
-            i = j
-            continue
-        if ch == "!":
-            if text[i : i + 3] == "!=0":
-                toks.append(_Tok("NEQZERO", "!=0", i))
-                i += 3
-                continue
-            raise EquationSyntaxError("expected '!=0'", i)
-        if ch in _OPS:
-            toks.append(_Tok("OP", ch, i))
-            i += 1
-            continue
-        raise EquationSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(_Tok("END", "", n))
-    return toks
+            j = _WORD_REST.match(text, i + 1).end()
+            tok(_new_tok(_Tok, ("IDENT", text[i:j], i)))
+        elif ch.isdecimal():
+            j = _NUMBER.match(text, i).end()
+            tok(_new_tok(_Tok, ("NUMBER", text[i:j], i)))
+        elif ch == "!":
+            if text[i : i + 3] != "!=0":
+                raise EquationSyntaxError("expected '!=0'", i)
+            j = i + 3
+            tok(_new_tok(_Tok, ("NEQZERO", "!=0", i)))
+        else:
+            raise EquationSyntaxError(f"unexpected character {ch!r}", i)
+        op("")
+        i = j
+    tok(_new_tok(_Tok, ("END", "", n)))
+    op("")
+    return toks, ops
 
 
 # ---------------------------------------------------------------------------
@@ -200,45 +200,95 @@ class _Ctx:
     __slots__ = ("shift_slots", "shift_order", "symbolic_pos", "numeric_pos")
 
     def __init__(self):
-        self.shift_slots: Dict[Tuple[Fraction, Fraction], int] = {}
+        self.shift_slots: Dict[Tuple[int, int, int, int], int] = {}  # by shift_key
         self.shift_order: List[Tuple[Fraction, Fraction]] = []
         self.symbolic_pos: Optional[int] = None
         self.numeric_pos: Optional[int] = None
 
     def slot_for(self, re: Fraction, im: Fraction) -> int:
-        key = (re, im)
-        if key not in self.shift_slots:
-            self.shift_slots[key] = len(self.shift_order) + 1
-            self.shift_order.append(key)
-        return self.shift_slots[key]
+        key = shift_key(re, im)
+        slot = self.shift_slots.get(key)
+        if slot is None:
+            slot = self.shift_slots[key] = len(self.shift_order) + 1
+            self.shift_order.append((re, im))
+        return slot
+
+
+# The largest exponent, and the largest degree in z, that a coefficient in
+# braces may reach; the parser refuses a larger one before computing it.  The
+# gcd that reduces a braced quotient grows about as the cube of the degree:
+# {(z+1)^256/(z+2)^256} takes 0.13 s, {(z+1)^1000/(z+2)^1000} took 14 s.
+Z_DEGREE_CAP = 256
+
+
+def _int(t: _Tok) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # more digits than int() converts
+        raise EquationSyntaxError("number too long", t.pos) from None
+
+
+def _fraction(t: _Tok) -> Fraction:
+    if "." not in t.text:
+        return Fraction(_int(t))
+    try:
+        return Fraction(t.text)
+    except ValueError:
+        raise EquationSyntaxError("number too long", t.pos) from None
+
+
+def _z_degree(r: RatZ) -> int:
+    return max(len(r.num), len(r.den)) - 1
+
+
+def _check_z_degree(degree: int, pos: int) -> None:
+    if degree > Z_DEGREE_CAP:
+        raise EquationSyntaxError(
+            f"coefficient of degree {degree} in z exceeds {Z_DEGREE_CAP}", pos
+        )
+
+
+def _check_z_power(degree: int, power: int, pos: int) -> None:
+    """Refuse the `power` of a coefficient of `degree` in z past the cap."""
+    if power > Z_DEGREE_CAP:
+        raise EquationSyntaxError(f"power {power} in a coefficient exceeds {Z_DEGREE_CAP}", pos)
+    _check_z_degree(degree * power, pos)
 
 
 class _Parser:
     def __init__(self, text: str, ctx: _Ctx):
-        self.toks = _tokenize(text)
+        self.toks, self.ops = _tokenize(text)
         self.k = 0
+        self.last = len(self.toks) - 1  # the END token, which is never passed
         self.ctx = ctx
 
     # --- token helpers
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.k + ahead, len(self.toks) - 1)]
+        return self.toks[min(self.k + ahead, self.last)]
 
     def take(self) -> _Tok:
-        t = self.toks[self.k]
-        if t.kind != "END":
-            self.k += 1
-        return t
+        k = self.k
+        if k < self.last:
+            self.k = k + 1
+        return self.toks[k]
 
     def expect_op(self, ch: str) -> _Tok:
-        t = self.take()
-        if t.kind != "OP" or t.text != ch:
-            raise EquationSyntaxError(f"expected {ch!r}", t.pos)
-        return t
+        k = self.k
+        if self.ops[k] != ch:
+            raise EquationSyntaxError(f"expected {ch!r}", self.toks[k].pos)
+        self.k = k + 1
+        return self.toks[k]
 
     def at_op(self, ch: str) -> bool:
-        t = self.peek()
-        return t.kind == "OP" and t.text == ch
+        return self.ops[self.k] == ch
+
+    def take_sign(self) -> int:
+        """1 or -1 for a '+' or '-' taken here, 0 when there is none."""
+        sign = _SIGNS.get(self.ops[self.k], 0)
+        if sign:
+            self.k += 1
+        return sign
 
     # --- numbers and shift literals
 
@@ -246,43 +296,43 @@ class _Parser:
         t = self.take()
         if t.kind != "NUMBER":
             raise EquationSyntaxError("expected a number", t.pos)
-        val = Fraction(t.text)
-        if self.at_op("/") and self.peek(1).kind == "NUMBER":
-            self.take()
+        val = _fraction(t)
+        if self.ops[self.k] == "/" and self.peek(1).kind == "NUMBER":
+            self.k += 1
             den = self.take()
             if "." in den.text:
                 raise EquationSyntaxError("rational literal wants integers", den.pos)
-            if int(den.text) == 0:
+            d = _int(den)
+            if d == 0:
                 raise EquationSyntaxError("zero denominator in literal", den.pos)
-            val = val / Fraction(den.text)
+            val = val / d
         return val
 
     def _imag_unit(self) -> bool:
-        t = self.peek()
+        t = self.toks[self.k]
         return t.kind == "IDENT" and t.text == "i"
 
     def _shift_literal(self, sign: int) -> Tuple[Fraction, Fraction]:
         # after the mandatory sign inside "w(z...)"
         if self._imag_unit():
-            self.take()
+            self.k += 1
             return Fraction(0), Fraction(sign)
         mag = self._number_fraction()
-        if self.at_op("*") and self.peek(1).kind == "IDENT" and self.peek(1).text == "i":
-            self.take()
-            self.take()
+        if self.ops[self.k] == "*" and self.peek(1).kind == "IDENT" and self.peek(1).text == "i":
+            self.k += 2
             return Fraction(0), sign * mag
         if self._imag_unit():
-            self.take()
+            self.k += 1
             return Fraction(0), sign * mag
         re = sign * mag
-        if self.at_op("+") or self.at_op("-"):
-            sign2 = 1 if self.take().text == "+" else -1
+        sign2 = self.take_sign()
+        if sign2:
             if self._imag_unit():
-                self.take()
+                self.k += 1
                 return re, Fraction(sign2)
             mag2 = self._number_fraction()
-            if self.at_op("*"):
-                self.take()
+            if self.ops[self.k] == "*":
+                self.k += 1
             t = self.take()
             if t.kind != "IDENT" or t.text != "i":
                 raise EquationSyntaxError("expected imaginary unit 'i'", t.pos)
@@ -291,61 +341,59 @@ class _Parser:
 
     # --- braced rational functions of z
 
-    def _zatom(self) -> Tuple[int, ...]:
+    def _zfactor(self) -> ZPoly:
         t = self.take()
-        if t.kind == "IDENT" and t.text == "z":
-            return (0, 1)
-        if t.kind == "NUMBER":
+        if t.text == "z" and t.kind == "IDENT":
+            base: ZPoly = (0, 1)
+        elif t.kind == "NUMBER":
             if "." in t.text:
                 raise EquationSyntaxError("integer coefficients only in braces", t.pos)
-            return zp_normal((int(t.text),))
-        if t.kind == "OP" and t.text == "(":
-            inner = self._zexpr()
+            c = _int(t)
+            base = (c,) if c else ZP_ZERO
+        elif t.text == "(":
+            base = self._zexpr()
             self.expect_op(")")
-            return inner
-        raise EquationSyntaxError("expected z, an integer, or '('", t.pos)
+        else:
+            raise EquationSyntaxError("expected z, an integer, or '('", t.pos)
+        power, pos = self._power_suffix()
+        if power == 1:
+            return base
+        _check_z_power(len(base) - 1, power, pos)
+        return zp_pow(base, power)
 
-    def _zfactor(self) -> Tuple[int, ...]:
-        base = self._zatom()
-        if self.at_op("^"):
-            self.take()
-            t = self.take()
-            if t.kind != "NUMBER" or "." in t.text:
-                raise EquationSyntaxError("expected a natural-number power", t.pos)
-            return zp_pow(base, int(t.text))
-        return base
-
-    def _zterm(self) -> Tuple[int, ...]:
+    def _zterm(self) -> ZPoly:
         acc = self._zfactor()
-        while self.at_op("*"):
-            self.take()
-            acc = zp_mul(acc, self._zfactor())
+        while self.ops[self.k] == "*":
+            self.k += 1
+            pos = self.toks[self.k].pos
+            factor = self._zfactor()
+            _check_z_degree(len(acc) + len(factor) - 2, pos)
+            acc = zp_mul(acc, factor)
         return acc
 
-    def _zexpr(self) -> Tuple[int, ...]:
-        sign = 1
-        if self.at_op("+") or self.at_op("-"):
-            sign = 1 if self.take().text == "+" else -1
+    def _zexpr(self) -> ZPoly:
+        sign = self.take_sign()
         acc = self._zterm()
         if sign < 0:
             acc = zp_neg(acc)
-        while self.at_op("+") or self.at_op("-"):
-            s = 1 if self.take().text == "+" else -1
+        while True:
+            s = self.take_sign()
+            if not s:
+                return acc
             t = self._zterm()
-            acc = zp_add(acc, t if s > 0 else zp_neg(t))
-        return acc
+            acc = zp_add(acc, t) if s > 0 else zp_sub(acc, t)
 
     def _braced_ratfun(self) -> RatZ:
         open_tok = self.expect_op("{")
         num = self._zexpr()
-        den: Tuple[int, ...] = ZP_ONE
-        if self.at_op("/"):
-            self.take()
+        den: ZPoly = ZP_ONE
+        if self.ops[self.k] == "/":
+            self.k += 1
             den = self._zexpr()
         close = self.take()
         if close.kind != "OP" or close.text != "}":
             raise EquationSyntaxError("expected '}'", close.pos)
-        if not zp_normal(den):
+        if not den:
             raise EquationSyntaxError("zero denominator in coefficient", open_tok.pos)
         return ratz(num, den)
 
@@ -353,101 +401,107 @@ class _Parser:
 
     def parse_poly(self) -> _RawPoly:
         poly = _RawPoly()
-        sign = 1
-        if self.at_op("+") or self.at_op("-"):
-            sign = 1 if self.take().text == "+" else -1
-        poly.terms.append(self._term(sign))
-        while self.at_op("+") or self.at_op("-"):
-            s = 1 if self.take().text == "+" else -1
-            poly.terms.append(self._term(s))
-        return poly
+        terms = poly.terms
+        terms.append(self._term(self.take_sign() or 1))
+        while True:
+            s = self.take_sign()
+            if not s:
+                return poly
+            terms.append(self._term(s))
 
     def _term(self, sign: int) -> _RawTerm:
         term = _RawTerm(sign=sign)
         self._factor(term)
-        while self.at_op("*"):
-            self.take()
+        while self.ops[self.k] == "*":
+            self.k += 1
             self._factor(term)
         return term
 
     def _factor(self, term: _RawTerm) -> None:
-        t = self.peek()
-        if t.kind == "IDENT" and t.text == "w":
-            self.take()
-            slot = 0
-            if self.at_op("("):
-                slot = self._shift_suffix()
-            power = self._power_suffix()
-            term.exps[slot] = term.exps.get(slot, 0) + power
-            return
-        if t.kind == "IDENT":
-            if t.text in RESERVED:
-                raise EquationSyntaxError(f"{t.text!r} is reserved", t.pos)
-            self.take()
-            nonzero = False
-            if self.peek().kind == "NEQZERO":
-                self.take()
-                nonzero = True
-            if self.at_op("^"):
-                raise EquationSyntaxError("symbolic coefficients cannot be powered", t.pos)
+        kind, text, pos = self.toks[self.k]
+        if kind == "IDENT":
+            if text == "w":
+                self.k += 1
+                slot = self._shift_suffix() if self.ops[self.k] == "(" else 0
+                power = self._power_suffix()[0]
+                term.exps[slot] = term.exps.get(slot, 0) + power
+                return
+            if text in RESERVED:
+                raise EquationSyntaxError(f"{text!r} is reserved", pos)
+            self.k += 1
+            nonzero = self.toks[self.k].kind == "NEQZERO"
+            if nonzero:
+                self.k += 1
+            if self.ops[self.k] == "^":
+                raise EquationSyntaxError("symbolic coefficients cannot be powered", pos)
             if term.symbol is not None:
-                raise EquationSyntaxError("at most one symbolic coefficient per term", t.pos)
-            term.symbol = (t.text, nonzero, t.pos)
+                raise EquationSyntaxError("at most one symbolic coefficient per term", pos)
+            term.symbol = (text, nonzero, pos)
             if self.ctx.symbolic_pos is None:
-                self.ctx.symbolic_pos = t.pos
+                self.ctx.symbolic_pos = pos
             return
-        if t.kind == "OP" and t.text == "{":
+        if text == "{":
             coeff = self._braced_ratfun()
             if self.ctx.numeric_pos is None:
-                self.ctx.numeric_pos = t.pos
-            power = self._power_suffix()
-            for _ in range(power):
-                term.numeric = term.numeric * coeff
+                self.ctx.numeric_pos = pos
+            power, at = self._power_suffix()
+            if power != 1:
+                _check_z_power(_z_degree(coeff), power, at)
+                # a power of a reduced num/den is reduced
+                coeff = RatZ(zp_pow(coeff.num, power), zp_pow(coeff.den, power))
+            if term.saw_numeric:
+                _check_z_degree(_z_degree(term.numeric) + _z_degree(coeff), pos)
+                coeff = term.numeric * coeff
+            term.numeric = coeff
             term.saw_numeric = True
             return
-        if t.kind == "OP" and t.text == "(":
-            self.take()
+        if text == "(":
+            self.k += 1
             inner = self.parse_poly()
             self.expect_op(")")
-            power = self._power_suffix()
-            term.groups.append((inner, power))
+            term.groups.append((inner, self._power_suffix()[0]))
             return
-        if t.kind == "NUMBER":
-            raise EquationSyntaxError("bare numbers are not atoms; write {n}", t.pos)
-        raise EquationSyntaxError("expected a factor", t.pos)
+        if kind == "NUMBER":
+            raise EquationSyntaxError("bare numbers are not atoms; write {n}", pos)
+        raise EquationSyntaxError("expected a factor", pos)
 
     def _shift_suffix(self) -> int:
-        open_tok = self.expect_op("(")
+        self.expect_op("(")
         t = self.take()
         if t.kind != "IDENT" or t.text != "z":
             raise EquationSyntaxError("expected 'z' in shift", t.pos)
-        t = self.take()
-        if t.kind != "OP" or t.text not in "+-":
-            raise EquationSyntaxError("expected '+' or '-' after 'z'", t.pos)
-        re, im = self._shift_literal(1 if t.text == "+" else -1)
+        sign = self.take_sign()
+        if not sign:
+            raise EquationSyntaxError("expected '+' or '-' after 'z'", self.toks[self.k].pos)
+        re, im = self._shift_literal(sign)
         self.expect_op(")")
         if re == 0 and im == 0:
             raise ZeroShift("shift w(z+0) is not allowed; shifts must be nonzero")
-        del open_tok
         return self.ctx.slot_for(re, im)
 
-    def _power_suffix(self) -> int:
-        if not self.at_op("^"):
-            return 1
-        self.take()
+    def _power_suffix(self) -> Tuple[int, int]:
+        """The power after a factor (1 when there is none) and its position."""
+        if self.ops[self.k] != "^":
+            return 1, self.toks[self.k].pos
+        self.k += 1
         t = self.take()
         if t.kind != "NUMBER" or "." in t.text:
             raise EquationSyntaxError("expected a natural-number power", t.pos)
-        return int(t.text)
+        return _int(t), t.pos
 
 
 # ---------------------------------------------------------------------------
-# expansion of raw terms into flat (coefficient, exponent-map) lists
+# expansion of raw terms into flat (sign, symbol, numeric, exponent-map) lists
 
 
 def _flat_mul(a: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int, int]]],
               b: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int, int]]]):
+    """The terms of a*b, each numeric one added into the first numeric term
+    of the same exponents.  Symbolic terms and zero sums stay where they are,
+    so `normalize` meets the same symbolic duplicates as in the product taken
+    term by term, and a group power keeps as few terms as its expansion."""
     out = []
+    first: Dict[Tuple[Tuple[int, int], ...], int] = {}
     for sa, syma, numa, expa in a:
         for sb, symb, numb, expb in b:
             if syma is not None and symb is not None:
@@ -458,7 +512,17 @@ def _flat_mul(a: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int
             exps = dict(expa)
             for slot, e in expb.items():
                 exps[slot] = exps.get(slot, 0) + e
-            out.append((sa * sb, sym, numa * numb, exps))
+            sign, num = sa * sb, numa * numb
+            if sym is None:
+                key = tuple(sorted(item for item in exps.items() if item[1]))
+                k = first.get(key)
+                if k is not None:
+                    sign0, _, num0, exps0 = out[k]
+                    total = (num0 if sign0 > 0 else -num0) + (num if sign > 0 else -num)
+                    out[k] = (1, None, total, exps0)
+                    continue
+                first[key] = len(out)
+            out.append((sign, sym, num, exps))
     return out
 
 
@@ -474,11 +538,29 @@ def _expand(poly: _RawPoly):
     return flat
 
 
-def _materialize(flat, shifts: Tuple[Shift, ...]) -> DiffPolynomial:
-    width = 1 + len(shifts)
+def _canonical_shifts(ctx: _Ctx) -> Tuple[Tuple[Shift, ...], List[int]]:
+    """The shifts numbered by value, largest (re, im) first, and for each slot
+    in order of first appearance (0 for w itself) its canonical slot."""
+    # Slot numbering must not depend on textual appearance order, or the
+    # printed form would not reparse to the same structure.
+    appearance = ctx.shift_order
+    order = sorted(range(len(appearance)), key=appearance.__getitem__, reverse=True)
+    slots = [0] * (len(order) + 1)
+    for new, old in enumerate(order):
+        slots[old + 1] = new + 1
+    shifts = tuple(Shift(*appearance[old], index=new + 1) for new, old in enumerate(order))
+    return shifts, slots
+
+
+def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolynomial:
+    """The normalized polynomial of `flat`, whose exponent maps are keyed by
+    appearance slot, with multi-indices in canonical slot order."""
+    width = len(slots)
     terms = []
     for sign, sym, num, exps in flat:
-        idx = tuple(exps.get(slot, 0) for slot in range(width))
+        idx = [0] * width
+        for slot, e in exps.items():
+            idx[slots[slot]] = e
         if sym is not None:
             if not num.is_one:
                 raise MixedMode("symbolic term carries a numeric factor")
@@ -486,8 +568,12 @@ def _materialize(flat, shifts: Tuple[Shift, ...]) -> DiffPolynomial:
             coeff: object = SymbolicCoeff(name, nonzero=nonzero, negated=sign < 0)
         else:
             coeff = num if sign > 0 else -num
-        terms.append((coeff, idx))
-    return normalize(shifts, terms)
+        terms.append((coeff, tuple(idx)))
+    try:
+        return normalize(shifts, terms)
+    except SymbolicDuplicate as exc:
+        # name the multi-index in the order the shifts appear in the text
+        raise SymbolicDuplicate(tuple(exc.index[slot] for slot in slots)) from None
 
 
 def _collect_symbols(flat, registry: Dict[str, int]) -> None:
@@ -500,30 +586,6 @@ def _collect_symbols(flat, registry: Dict[str, int]) -> None:
                 f"coefficient name {name!r} is used more than once"
             )
         registry[name] = pos
-
-
-def _canonical_shift_order(shifts: Tuple[Shift, ...]) -> Tuple[int, ...]:
-    # Slot numbering must not depend on textual appearance order, or the
-    # printed form would not reparse to the same structure; shifts are
-    # numbered by value, largest (re, im) first.
-    return tuple(
-        sorted(range(len(shifts)), key=lambda k: (shifts[k].re, shifts[k].im), reverse=True)
-    )
-
-
-def _renumber(poly: DiffPolynomial, order: Tuple[int, ...], shifts: Tuple[Shift, ...]) -> DiffPolynomial:
-    new_shifts = tuple(
-        Shift(shifts[old].re, shifts[old].im, index=new + 1)
-        for new, old in enumerate(order)
-    )
-    remap = {old: new for new, old in enumerate(order)}
-    terms = []
-    for coeff, idx in poly.terms:
-        new_idx = [idx[0]] + [0] * len(shifts)
-        for old_slot in range(1, len(idx)):
-            new_idx[1 + remap[old_slot - 1]] = idx[old_slot]
-        terms.append((coeff, tuple(new_idx)))
-    return normalize(new_shifts, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -598,18 +660,13 @@ def parse_equation(text: str) -> ClunieEquation:
     for flat in (lhs_flat, num_flat) + ((den_flat,) if den_flat is not None else ()):
         _collect_symbols(flat, registry)
 
-    shifts = tuple(
-        Shift(re, im, index=k + 1) for k, (re, im) in enumerate(ctx.shift_order)
-    )
-    order = _canonical_shift_order(shifts)
-    lhs = _renumber(_materialize(lhs_flat, shifts), order, shifts)
-    numerator = _renumber(_materialize(num_flat, shifts), order, shifts)
-    denominator = _renumber(
-        _materialize(den_flat, shifts)
+    shifts, slots = _canonical_shifts(ctx)
+    lhs = _materialize(lhs_flat, shifts, slots)
+    numerator = _materialize(num_flat, shifts, slots)
+    denominator = (
+        _materialize(den_flat, shifts, slots)
         if den_flat is not None
-        else constant_poly(RZ_ONE, shifts),
-        order,
-        shifts,
+        else constant_poly(RZ_ONE, shifts)
     )
 
     if not numerator.is_plain() or not denominator.is_plain():
@@ -630,11 +687,8 @@ def parse_polynomial(text: str) -> DiffPolynomial:
     if trailing.kind != "END":
         raise EquationSyntaxError("unexpected trailing input", trailing.pos)
     flat = _expand(raw)
-    shifts = tuple(
-        Shift(re, im, index=k + 1) for k, (re, im) in enumerate(ctx.shift_order)
-    )
-    order = _canonical_shift_order(shifts)
-    return _renumber(_materialize(flat, shifts), order, shifts)
+    shifts, slots = _canonical_shifts(ctx)
+    return _materialize(flat, shifts, slots)
 
 
 def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
@@ -650,7 +704,7 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
         )
     u = _plain_coeff_list(eq.denominator)
     q = _plain_coeff_list(eq.numerator)
-    g_deg = _wpoly_gcd_degree(u, q)
+    g_deg = wpoly_gcd_degree(u, q)
     if g_deg > 0:
         raise CommonFactor(
             f"numerator and denominator share a factor of degree {g_deg} in w"
@@ -664,33 +718,6 @@ def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:
     for coeff, idx in p.terms:
         out[idx[0]] = coeff
     return out
-
-
-def _clear_denominators(p: List[RatZ]) -> List[ZPoly]:
-    """p times the product of its coefficients' distinct denominators: a
-    polynomial in w over Z[z]."""
-    mult = functools.reduce(zp_mul, {c.den for c in p})
-    return [zp_mul(c.num, zp_divexact(mult, c.den)) for c in p]
-
-
-def _w_primitive(p: List[ZPoly]) -> List[ZPoly]:
-    """p divided by its content in Z[z], the gcd of its coefficients."""
-    k = math.gcd(*(x for c in p for x in c))
-    g = functools.reduce(zp_gcd, (c for c in p if c), ZP_ZERO)
-    return [zp_divexact(tuple(x // k for x in c), g) for c in p]
-
-
-def _wpoly_gcd_degree(a: List[RatZ], b: List[RatZ]) -> int:
-    """Degree in w of gcd(a, b) over the field of rational functions in z;
-    a and b have no trailing zeros."""
-    g = prs_last(
-        _w_primitive(_clear_denominators(a)),
-        _w_primitive(_clear_denominators(b)),
-        zp_mul,
-        zp_sub,
-        _w_primitive,
-    )
-    return len(g) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 A polynomial is a tuple of integer coefficients in ascending order of power,
 with no trailing zeros; the empty tuple is the zero polynomial.  A rational
-function is a reduced pair num/den of such tuples.  Everything here is exact
-and integer-only (fraction-free): no floats enter until `RatZ.evaluate`.
+function is a reduced pair num/den of such tuples; `wpoly_gcd_degree` works
+on polynomials in w whose coefficients are such rational functions.
+Everything here is exact and integer-only (fraction-free): no floats enter
+until `RatZ.evaluate`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, TypeVar
@@ -19,6 +22,8 @@ ZP_ONE: ZPoly = (1,)
 
 
 def zp_normal(coeffs: Iterable[int]) -> ZPoly:
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+        return coeffs
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -31,8 +36,13 @@ def zp_degree(p: ZPoly) -> int:
 
 
 def zp_add(a: ZPoly, b: ZPoly) -> ZPoly:
-    n = max(len(a), len(b))
-    return zp_normal((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    # only equal lengths can cancel the top coefficient
+    return zp_normal(out) if len(a) == len(b) else tuple(out)
 
 
 def zp_neg(a: ZPoly) -> ZPoly:
@@ -46,6 +56,11 @@ def zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
 def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     if not a or not b:
         return ZP_ZERO
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return tuple(c * x for x in a) if c else ZP_ZERO
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -58,9 +73,15 @@ def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
 def zp_pow(a: ZPoly, n: int) -> ZPoly:
     if n < 0:
         raise ValueError("negative power")
+    if a and not any(a[:-1]):  # a monomial c*z^m
+        return (0,) * ((len(a) - 1) * n) + (a[-1] ** n,)
     out = ZP_ONE
-    for _ in range(n):
-        out = zp_mul(out, a)
+    while n:  # repeated squaring
+        if n & 1:
+            out = zp_mul(out, a)
+        n >>= 1
+        if n:
+            a = zp_mul(a, a)
     return out
 
 
@@ -235,10 +256,62 @@ def ratz(num: Iterable[int], den: Iterable[int] = (1,)) -> RatZ:
     c = math.gcd(*n, *d)
     if d[-1] < 0:
         c = -c
-    n = tuple(x // c for x in n)
-    d = tuple(x // c for x in d)
+    if c != 1:
+        n = tuple(x // c for x in n)
+        d = tuple(x // c for x in d)
     return RatZ(n, d)
 
 
 RZ_ZERO = RatZ(ZP_ZERO, ZP_ONE)
 RZ_ONE = RatZ(ZP_ONE, ZP_ONE)
+
+
+# polynomials in w over Q(z), as ascending coefficient lists
+
+
+def _clear_denominators(p: List[RatZ]) -> List[ZPoly]:
+    """p times the product of its coefficients' distinct denominators: a
+    polynomial in w over Z[z]."""
+    dens = {c.den for c in p}
+    if dens == {ZP_ONE}:
+        return [c.num for c in p]
+    mult = functools.reduce(zp_mul, dens)
+    return [zp_mul(c.num, zp_divexact(mult, c.den)) for c in p]
+
+
+def _w_primitive(p: List[ZPoly]) -> List[ZPoly]:
+    """p divided by its content in Z[z], the gcd of its coefficients."""
+    k = math.gcd(*(x for c in p for x in c))
+    g = ZP_ZERO
+    for c in p:
+        if c:
+            g = zp_gcd(g, c)
+            if g == ZP_ONE:  # the gcd of a primitive 1 with anything is 1
+                break
+    if k != 1:
+        p = [tuple(x // k for x in c) for c in p]
+    return p if g == ZP_ONE else [zp_divexact(c, g) for c in p]
+
+
+def _coprime_at_a_point(a: List[ZPoly], b: List[ZPoly]) -> bool:
+    """True when a and b, polynomials in w over Z[z], are coprime over Q
+    once z is set to the first integer z0 >= 0 where neither leading
+    coefficient vanishes.  A common factor of positive degree in w keeps its
+    degree at such a z0, so True proves a and b coprime over Q(z); False
+    proves nothing."""
+    for z0 in range(len(a[-1]) + len(b[-1]) - 1):  # more points than roots of both leads
+        a0 = tuple(zp_eval(c, z0) for c in a)
+        b0 = tuple(zp_eval(c, z0) for c in b)
+        if a0[-1] and b0[-1]:
+            return len(zp_gcd(a0, b0)) == 1
+    return False
+
+
+def wpoly_gcd_degree(a: List[RatZ], b: List[RatZ]) -> int:
+    """Degree in w of gcd(a, b) over the field of rational functions in z;
+    a and b have no trailing zeros."""
+    a_int, b_int = _clear_denominators(a), _clear_denominators(b)
+    if _coprime_at_a_point(a_int, b_int):
+        return 0
+    g = prs_last(_w_primitive(a_int), _w_primitive(b_int), zp_mul, zp_sub, _w_primitive)
+    return len(g) - 1

@@ -275,6 +275,12 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "trailing input in shift constant '1)*w'"),
         (["characteristic", "--model", "shift:1)*w:exp:z"],
          "trailing input in shift constant '1)*w'"),
+        (["classify", "--eq", "a*w(z-1)+b*w(z-1)+w(z+1) = c"],
+         "two symbolic terms share multi-index (0, 1, 0)"),
+        (["classify", "--eq", "w(z+1)-w(z+1) = w"], "the zero polynomial has no degree data"),
+        (["classify", "--eq", "w = {z^100000}"],
+         "power 100000 in a coefficient exceeds 256 (at position 7)"),
+        (["classify", "--eq", "w = {z^\u00b2}"], "unexpected character '\u00b2' (at position 7)"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from nevdiff import diffpoly as dp
 from nevdiff.eqparse import (
+    Z_DEGREE_CAP,
     CommonFactor,
     Coprimality,
     DegenerateEquation,
@@ -24,6 +27,7 @@ from nevdiff.eqparse import (
     to_canonical_text,
     validate_no_common_factors,
 )
+from nevdiff.zfield import RatZ
 
 from helpers import random_equation
 
@@ -168,6 +172,76 @@ def test_parse_total_on_grammar_alphabet(text):
         parse_equation(text)
     except ParseError:
         pass
+
+
+# Characters that str.isdigit() accepts but int() and Fraction() do not: the
+# tokenizer reads only decimal digits, so each is an unexpected character.
+@pytest.mark.parametrize(
+    "text, position",
+    [("w = {z^\u00b2}", 7), ("w(z+\u00b2) = {1}", 4), ("w^\u00b2 = {1}", 2)],
+)
+def test_non_decimal_digits_are_syntax_errors(text, position):
+    with pytest.raises(EquationSyntaxError) as err:
+        parse_equation(text)
+    assert err.value.position == position
+    assert str(err.value) == f"unexpected character '\u00b2' (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "text", ["w(z+" + "1" * 5000 + ") = w", "w = {" + "1" * 5000 + "}", "w(z+1." + "5" * 5000 + ") = w"]
+)
+def test_numbers_past_the_int_digit_limit_are_syntax_errors(text):
+    with pytest.raises(EquationSyntaxError, match=r"^number too long \(at position [45]\)$"):
+        parse_equation(text)
+
+
+def test_group_power_merges_like_terms():
+    t0 = time.perf_counter()
+    p = parse_polynomial("(w+{1})^40")
+    assert time.perf_counter() - t0 < 1.0
+    assert p.terms == tuple(
+        (RatZ((math.comb(40, k),), (1,)), (k,)) for k in range(40, -1, -1)
+    )
+
+
+def test_merged_zero_sum_still_meets_a_symbolic_duplicate():
+    # the product's two w*w(z+1) terms sum to zero; the symbolic term beside
+    # them is still a duplicate, as in the unmerged expansion
+    with pytest.raises(dp.SymbolicDuplicate, match=r"multi-index \(1, 1\)$"):
+        parse_equation("(w+w(z+1))*(w-w(z+1))+a*w*w(z+1) = b")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("w = {z^100000}", "power 100000 in a coefficient exceeds 256 (at position 7)"),
+        ("w = {z^99999999}", "power 99999999 in a coefficient exceeds 256 (at position 7)"),
+        ("w = {2^99999999}", "power 99999999 in a coefficient exceeds 256 (at position 7)"),
+        ("w = {(z^2+1)/(z-1)}^200", "coefficient of degree 400 in z exceeds 256 (at position 20)"),
+        ("w = {(z^2+1)^200}", "coefficient of degree 400 in z exceeds 256 (at position 13)"),
+        ("w = {z^200*z^57}", "coefficient of degree 257 in z exceeds 256 (at position 11)"),
+        ("w = {z^200}*{z^57}*w", "coefficient of degree 257 in z exceeds 256 (at position 12)"),
+    ],
+)
+def test_z_degree_past_the_cap_is_refused_before_it_is_computed(text, message):
+    assert Z_DEGREE_CAP == 256
+    t0 = time.perf_counter()
+    with pytest.raises(EquationSyntaxError) as err:
+        parse_equation(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == message
+
+
+def test_z_powers_at_the_cap_are_exact():
+    t0 = time.perf_counter()
+    eq = parse_equation("w(z+1) = {(z+1)/(z-1)}^200*w+{z^256}")
+    assert time.perf_counter() - t0 < 1.0
+    (c200, _), (c256, _) = eq.numerator.terms
+    assert c200 == RatZ(
+        tuple(math.comb(200, k) for k in range(201)),
+        tuple((-1) ** (200 - k) * math.comb(200, k) for k in range(201)),
+    )
+    assert c256 == RatZ((0,) * 256 + (1,), (1,))
 
 
 def test_polynomial_parser_rejects_equation():

@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps nevdiff's functions by name.  A renamed one is
 reported as an absent layer, and a non-finite layer value makes the
 benchmark's last line invalid JSON; either breaks a traced benchmark run
-without failing a call.  This runs the seed-0 shift-product call traced.
+without failing a call.  This runs the seed-0 shift-product call and the
+seed-0 classify-batch calls traced.
 """
 
 from __future__ import annotations
@@ -25,21 +26,35 @@ from nevdiff import cli  # noqa: E402
 RUN_METRICS = ("trace.overhead_s", "src.lines")
 
 
-def test_traced_shift_product_reports_every_layer(tmp_path):
+def _traced_table(name, tmp_path):
+    """The layer table of a traced run of workload `name`'s seed-0 calls."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         layer_names = [m["name"] for m in json.load(fh)["per_layer"]]
-    (call,) = workloads.build("shift-product", 0).calls
+    calls = workloads.build(name, 0).calls
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = cli.main(list(call.argv) + ["--out", str(tmp_path / "report.txt")])
+        codes = [cli.main(list(c.argv) + ["--out", str(tmp_path / "report.txt")])
+                 for c in calls]
     finally:
         tracer.uninstall()
-    assert code == call.exit_code
+    assert codes == [c.exit_code for c in calls]
     assert tracer.missing == []
     table = tracer.summary()
     assert sorted(set(layer_names) - set(RUN_METRICS) - set(table)) == []
     assert all(math.isfinite(v) for v in table.values()), table
     json.dumps(table, allow_nan=False)
+    return table
+
+
+def test_traced_shift_product_reports_every_layer(tmp_path):
+    table = _traced_table("shift-product", tmp_path)
     assert table["charfn.model.calls"] > 0 and table["charfn.model.points"] > 0
+
+
+def test_traced_classify_batch_reports_the_symbolic_layers(tmp_path):
+    table = _traced_table("classify-batch", tmp_path)
+    # one parse_equation and one validate_no_common_factors span per call
+    assert table["eqparse.calls"] == 300
+    assert table["clunie.calls"] > 0

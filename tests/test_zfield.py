@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nevdiff.eqparse import _wpoly_gcd_degree
 from nevdiff.zfield import (
     RZ_ONE,
     RZ_ZERO,
     ratz,
+    wpoly_gcd_degree,
     zp_add,
     zp_divexact,
     zp_eval,
@@ -230,7 +230,7 @@ def _wmul(a, b):
 @given(_wpolys(2), _wpolys(2), _wpolys(2))
 def test_w_gcd_degree_matches_ratz_euclid(f, g, h):
     a, b = _wmul(f, g), _wmul(f, h)
-    got = _wpoly_gcd_degree(a, b)
+    got = wpoly_gcd_degree(a, b)
     assert got == ratz_euclid_gcd_degree(a, b)
     assert got >= len(f) - 1
 
