@@ -21,9 +21,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .growth import (
-    DensityReport,
-    ExceptionSet,
     Model,
+    ScanResult,
+    ScanRow,
+    decays,
     densities,
     exception_set_from_grid,
     geometric_grid,
@@ -1098,15 +1099,6 @@ def log_diff_m(
     return proximity_m(quotient, r, tol_unit=tol_unit)
 
 
-class LogDiffReport(NamedTuple):
-    rows: Tuple[Tuple[float, float, float, bool], ...]  # r, lhs, rhs, ok
-    skipped: Tuple[float, ...]
-    exceptions: ExceptionSet
-    report: DensityReport
-    hypothesis_decays: bool
-    negative_control: bool
-
-
 def logdiff_bound_rhs(t_value: float, r: float, c_abs: float, delta: float, eps: float) -> Optional[float]:
     if t_value <= math.e:
         return None
@@ -1128,13 +1120,15 @@ def verify_logdiff_bound(
     r_min: float = 10.0,
     ratio: float = 1.05,
     tol_unit: float = 1e-8,
-) -> LogDiffReport:
+) -> ScanResult:
     """Scan the explicit log-difference bound on a geometric grid.
 
     Points with T(r) <= e are outside the bound's domain and recorded as
-    skipped.  When the slow-growth hypothesis fails on the data (pressure
-    (log r)^(1+eps) log T / r not decaying), the scan is flagged as a
-    negative control and is diagnostic only.
+    skipped.  `window_divergent` records whether the slow-growth hypothesis
+    holds on the data (pressure (log r)^(1+eps) log T / r decaying); when it
+    does not, the scan is a negative control and diagnostic only.  The scan
+    is certified when the hypothesis holds and the exception set has finite
+    logarithmic measure.
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
@@ -1164,21 +1158,18 @@ def verify_logdiff_bound(
         if len(rows) == len(m_means):
             raise m_err
         lhs = m_means[len(rows)].value
-        ok = lhs <= rhs
-        rows.append((r, lhs, rhs, ok))
-        failing.append(not ok)
+        rows.append(ScanRow(r, lhs, rhs, lhs <= rhs))
+        failing.append(not rows[-1].ok)
     es = exception_set_from_grid(grid, failing, horizon)
     rep = densities(es)
-    decays = (
-        len(pressures) >= 4 and pressures[-1] <= 0.5 * pressures[len(pressures) // 4]
-    )
-    return LogDiffReport(
+    hypothesis = decays(pressures)
+    return ScanResult(
         rows=tuple(rows),
-        skipped=tuple(skipped),
         exceptions=es,
         report=rep,
-        hypothesis_decays=decays,
-        negative_control=not decays,
+        skipped=tuple(skipped),
+        window_divergent=hypothesis,
+        certified=hypothesis and rep.log_measure < math.inf,
     )
 
 

@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from . import charfn, clunie, diffpoly, growth, poleprop
 from .eqparse import (
@@ -33,8 +33,19 @@ OK, OPERATIONAL_ERROR, REJECTED = 0, 1, 2
 _FORMATTED = ("classify", "enumerate", "reduce")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _cell(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".12g")
+    return str(int(x)) if isinstance(x, bool) else str(x)
+
+
+def _table(header: str, rows: Iterable[Sequence], summary: Optional[dict] = None) -> str:
+    """A CSV report: floats to 12 significant digits, bools as 0/1, other
+    cells by `str`, then the summary, if any, as one sorted JSON line."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    if summary is not None:
+        lines.append(json.dumps(summary, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 class RunConfig(NamedTuple):
@@ -270,33 +281,24 @@ def cmd_enumerate(cfg: RunConfig, reduce_list: bool) -> int:
 
 def cmd_shift_check(cfg: RunConfig) -> int:
     model = charfn.model_from_spec(cfg.model)
-    all_ok = True
-    lines = ["c,r,check,lhs,main,slack_used,pass"]
+    rows = []
     for c in _parse_c_list(cfg.c_list):
-        rows = charfn.shift_inequality_sweep(
+        for row in charfn.shift_inequality_sweep(
             model, c, cfg.r_min, cfg.r_max, cfg.ratio, tol_unit=cfg.tol_unit
-        )
-        for row in rows:
-            lines.append(
-                f"{row.c},{_fmt(row.r)},counting[{row.counting_kind}],"
-                f"{_fmt(row.counting_lhs)},{_fmt(row.counting_main)},"
-                f"{_fmt(row.counting_slack_used)},{int(row.counting_ok)}"
-            )
-            lines.append(
-                f"{row.c},{_fmt(row.r)},characteristic,{_fmt(row.char_lhs)},"
-                f"{_fmt(row.char_main)},{_fmt(row.char_slack_used)},{int(row.char_ok)}"
-            )
-            all_ok = all_ok and row.counting_ok and row.char_ok
-    _emit("\n".join(lines) + "\n", cfg)
-    return OK if all_ok else REJECTED
+        ):
+            rows.append((row.c, row.r, f"counting[{row.counting_kind}]", row.counting_lhs,
+                         row.counting_main, row.counting_slack_used, row.counting_ok))
+            rows.append((row.c, row.r, "characteristic", row.char_lhs, row.char_main,
+                         row.char_slack_used, row.char_ok))
+    _emit(_table("c,r,check,lhs,main,slack_used,pass", rows), cfg)
+    return OK if all(row[-1] for row in rows) else REJECTED
 
 
 def cmd_logdiff_check(cfg: RunConfig) -> int:
     model = charfn.model_from_spec(cfg.model)
-    cs = _parse_c_list(cfg.c_list)
     worst = OK
     blocks = []
-    for c in cs:
+    for c in _parse_c_list(cfg.c_list):
         rep = charfn.verify_logdiff_bound(
             model,
             c,
@@ -307,33 +309,24 @@ def cmd_logdiff_check(cfg: RunConfig) -> int:
             ratio=cfg.ratio,
             tol_unit=cfg.tol_unit,
         )
-        lm = growth.log_measure(rep.exceptions)
+        lm = rep.report.log_measure
         summary = {
             "c": str(c),
             "exception_log_measure": lm,
-            "negative_control": rep.negative_control,
+            "negative_control": not rep.window_divergent,
             "skipped": len(rep.skipped),
             "densities": rep.report._asdict(),
         }
-        rows = ["r,lhs,rhs,pass"] + [
-            f"{_fmt(r)},{_fmt(lhs)},{_fmt(rhs)},{int(ok)}"
-            for r, lhs, rhs, ok in rep.rows
-        ]
-        blocks.append("\n".join(rows) + "\n" + json.dumps(summary, sort_keys=True) + "\n")
-        if not rep.negative_control and lm > cfg.max_log_measure:
+        blocks.append(_table("r,lhs,rhs,pass", rep.rows, summary))
+        if rep.window_divergent and lm > cfg.max_log_measure:
             worst = REJECTED
     _emit("".join(blocks), cfg)
     return worst
 
 
-_GROWTH_SPECS = {
-    "exp": growth.PureExpGrowth(),
-}
-
-
 def _growth_from_spec(text: str) -> growth.GrowthFunction:
-    if text in _GROWTH_SPECS:
-        return _GROWTH_SPECS[text]
+    if text == "exp":
+        return growth.PureExpGrowth()
     head, _, arg = text.partition(":")
     if head == "power":
         return growth.PowerGrowth(float(arg))
@@ -352,10 +345,6 @@ def cmd_growth_scan(cfg: RunConfig) -> int:
         res = growth.scan_fixed_shift(T, cfg.h, cfg.big_k, cfg.horizon)
     else:
         raise ValueError(f"unknown scan variant {cfg.variant!r}")
-    lines = ["r,lhs,rhs,pass"] + [
-        f"{_fmt(row.r)},{_fmt(row.lhs)},{_fmt(row.rhs)},{int(row.ok)}"
-        for row in res.rows
-    ]
     summary = {
         "growth": T.label,
         "variant": cfg.variant,
@@ -364,7 +353,7 @@ def cmd_growth_scan(cfg: RunConfig) -> int:
         "skipped": len(res.skipped),
         "densities": res.report._asdict(),
     }
-    _emit("\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True) + "\n", cfg)
+    _emit(_table("r,lhs,rhs,pass", res.rows, summary), cfg)
     return OK if res.certified else REJECTED
 
 
@@ -373,18 +362,12 @@ def cmd_product_example(cfg: RunConfig) -> int:
     rows = charfn.example_product_report(
         model, cfg.levels, samples=cfg.samples, tol_unit=cfg.tol_unit
     )
-    lines = ["r,T_base,T_shifted,m_quotient,separation_ratio,smallness_ratio"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.r)},{_fmt(row.t_base)},{_fmt(row.t_shifted)},"
-            f"{_fmt(row.m_quotient)},{_fmt(row.separation_ratio)},"
-            f"{_fmt(row.smallness_ratio)}"
-        )
     summary = {
         "levels": [[rk, nk] for rk, nk in model.levels],
         "certificate_ok": all(ok for *_, ok in cert.rows),
     }
-    _emit("\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True) + "\n", cfg)
+    _emit(_table("r,T_base,T_shifted,m_quotient,separation_ratio,smallness_ratio",
+                 rows, summary), cfg)
     ok = True
     if cfg.min_separation is not None:
         ok = ok and all(r.separation_ratio >= cfg.min_separation for r in rows)
@@ -397,23 +380,16 @@ def cmd_polechain(cfg: RunConfig) -> int:
     skip = tuple(int(s) for s in cfg.skip.split(",") if s.strip())
     ch = poleprop.chain(cfg.k0, cfg.steps, skip_points=skip)
     d, k = poleprop.growth_lower_bound(ch)
-    lines = ["n,bound,ceiling,counting_lower"]
-    for n, bound, ceiling, nlow in poleprop.chain_report_rows(ch):
-        lines.append(f"{n},{bound},{ceiling},{_fmt(nlow)}")
     summary = {"growth_base": d, "growth_constant": k, "skipped": list(ch.skipped)}
-    _emit("\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True) + "\n", cfg)
+    _emit(_table("n,bound,ceiling,counting_lower", poleprop.chain_report_rows(ch), summary), cfg)
     return OK
 
 
 def cmd_characteristic(cfg: RunConfig) -> int:
     model = charfn.model_from_spec(cfg.model)
-    lines = ["r,m,N,T,err"]
     grid = growth.geometric_grid(cfg.r_min, cfg.r_max, cfg.ratio)
-    for s in charfn.characteristic_samples(model, grid, tol_unit=cfg.tol_unit):
-        lines.append(
-            f"{_fmt(s.r)},{_fmt(s.m)},{_fmt(s.N)},{_fmt(s.T)},{_fmt(s.quad_error)}"
-        )
-    _emit("\n".join(lines) + "\n", cfg)
+    samples = charfn.characteristic_samples(model, grid, tol_unit=cfg.tol_unit)
+    _emit(_table("r,m,N,T,err", samples), cfg)
     return OK
 
 

@@ -35,10 +35,6 @@ class HypothesesViolated(ClunieError):
         self.violations = tuple(violations)
 
 
-class NotAdmissible(ClunieError):
-    pass
-
-
 class WrongBenchmark(ClunieError):
     """The reduction rules apply only to the benchmark left side."""
 
@@ -235,17 +231,6 @@ def _admissibility(prof: DegreeProfile) -> AdmissibilityReport:
         valiron_cap=valiron_cap,
         valiron_ok=valiron_degree <= valiron_cap,
     )
-
-
-def verdict(eq: ClunieEquation) -> Verdict:
-    """Value-distribution conclusions for one admissible equation."""
-    report = admissible(eq)
-    if not report.ok:
-        raise NotAdmissible(
-            f"lhs weight {report.lhs_weight} below required {report.required}"
-        )
-    prof = degree_profile(eq)
-    return profile_verdict(prof, benchmark=is_benchmark(eq.lhs))
 
 
 def profile_verdict(prof: DegreeProfile, benchmark: bool = False) -> Verdict:
@@ -534,12 +519,5 @@ def verdict_dict(v: Verdict) -> dict:
     }
 
 
-def report_dict(
-    prof: DegreeProfile,
-    v: Verdict,
-    families: Optional[Sequence[FamilySpec]] = None,
-) -> dict:
-    out = {"profile": prof._asdict(), "verdict": verdict_dict(v)}
-    if families is not None:
-        out["families"] = [f._asdict() for f in families]
-    return out
+def report_dict(prof: DegreeProfile, v: Verdict) -> dict:
+    return {"profile": prof._asdict(), "verdict": verdict_dict(v)}

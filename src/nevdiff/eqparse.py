@@ -186,7 +186,7 @@ class _RawTerm:
         self.numeric: RatZ = RZ_ONE
         self.saw_numeric = False
         self.exps: Dict[int, int] = {}  # slot -> exponent
-        self.groups: List[Tuple[_RawPoly, int]] = []
+        self.groups: List[Tuple[_RawPoly, int, int]] = []  # group, power, position
 
 
 class _RawPoly:
@@ -219,6 +219,13 @@ class _Ctx:
 # gcd that reduces a braced quotient grows about as the cube of the degree:
 # {(z+1)^256/(z+2)^256} takes 0.13 s, {(z+1)^1000/(z+2)^1000} took 14 s.
 Z_DEGREE_CAP = 256
+# The largest group power, and the largest degree in w of a term, that the
+# parser expands.  The w-gcd of the coprimality check grows about as the square
+# of the degree: (w^3000+{1})/(w+{2}) takes 0.4 s, (w^30000+{1})/(w+{2}) 19 s.
+W_DEGREE_CAP = 256
+# The most term products that expanding the groups of one term may make:
+# (w+{1})^180 makes 32580 of them in about 0.4 s.
+EXPANSION_CAP = 2**15
 
 
 def _int(t: _Tok) -> int:
@@ -246,6 +253,11 @@ def _check_z_degree(degree: int, pos: int) -> None:
         raise EquationSyntaxError(
             f"coefficient of degree {degree} in z exceeds {Z_DEGREE_CAP}", pos
         )
+
+
+def _check_w_degree(degree: int, pos: int) -> None:
+    if degree > W_DEGREE_CAP:
+        raise EquationSyntaxError(f"term of degree {degree} in w exceeds {W_DEGREE_CAP}", pos)
 
 
 def _check_z_power(degree: int, power: int, pos: int) -> None:
@@ -423,8 +435,9 @@ class _Parser:
             if text == "w":
                 self.k += 1
                 slot = self._shift_suffix() if self.ops[self.k] == "(" else 0
-                power = self._power_suffix()[0]
+                power, at = self._power_suffix()
                 term.exps[slot] = term.exps.get(slot, 0) + power
+                _check_w_degree(sum(term.exps.values()), at)
                 return
             if text in RESERVED:
                 raise EquationSyntaxError(f"{text!r} is reserved", pos)
@@ -459,7 +472,10 @@ class _Parser:
             self.k += 1
             inner = self.parse_poly()
             self.expect_op(")")
-            term.groups.append((inner, self._power_suffix()[0]))
+            power, at = self._power_suffix()
+            if power > W_DEGREE_CAP:
+                raise EquationSyntaxError(f"power {power} of a group exceeds {W_DEGREE_CAP}", at)
+            term.groups.append((inner, power, pos))
             return
         if kind == "NUMBER":
             raise EquationSyntaxError("bare numbers are not atoms; write {n}", pos)
@@ -495,11 +511,13 @@ class _Parser:
 
 
 def _flat_mul(a: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int, int]]],
-              b: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int, int]]]):
+              b: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int, int]]],
+              pos: int):
     """The terms of a*b, each numeric one added into the first numeric term
     of the same exponents.  Symbolic terms and zero sums stay where they are,
     so `normalize` meets the same symbolic duplicates as in the product taken
-    term by term, and a group power keeps as few terms as its expansion."""
+    term by term, and a group power keeps as few terms as its expansion.
+    Refuses, at `pos`, a product past either degree cap before computing it."""
     out = []
     first: Dict[Tuple[Tuple[int, int], ...], int] = {}
     for sa, syma, numa, expa in a:
@@ -512,6 +530,8 @@ def _flat_mul(a: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int
             exps = dict(expa)
             for slot, e in expb.items():
                 exps[slot] = exps.get(slot, 0) + e
+            _check_w_degree(sum(exps.values()), pos)
+            _check_z_degree(_z_degree(numa) + _z_degree(numb), pos)
             sign, num = sa * sb, numa * numb
             if sym is None:
                 key = tuple(sorted(item for item in exps.items() if item[1]))
@@ -530,10 +550,16 @@ def _expand(poly: _RawPoly):
     flat = []
     for term in poly.terms:
         acc = [(term.sign, term.symbol, term.numeric, dict(term.exps))]
-        for group, power in term.groups:
+        made = 0
+        for group, power, pos in term.groups:
             gflat = _expand(group)
             for _ in range(power):
-                acc = _flat_mul(acc, gflat)
+                made += len(acc) * len(gflat)
+                if made > EXPANSION_CAP:
+                    raise EquationSyntaxError(
+                        f"expanding a group makes more than {EXPANSION_CAP} terms", pos
+                    )
+                acc = _flat_mul(acc, gflat, pos)
         flat.extend(acc)
     return flat
 
@@ -592,19 +618,24 @@ def _collect_symbols(flat, registry: Dict[str, int]) -> None:
 # public entry points
 
 
+def _bare_groups(poly: _RawPoly) -> List[_RawPoly]:
+    """The groups of `poly` when it is one term made only of parenthesized
+    groups without powers, else none."""
+    term = poly.terms[0]
+    if len(poly.terms) != 1 or term.sign != 1 or term.symbol or term.saw_numeric or term.exps:
+        return []
+    if any(power != 1 for _, power, _ in term.groups):
+        return []
+    return [group for group, _, _ in term.groups]
+
+
 def _split_direct_product(poly: _RawPoly) -> Optional[Tuple[_RawPoly, _RawPoly]]:
     # Accept `(U)*(P) = Q` when the left side is exactly two parenthesized
     # groups and the first expands to a w-only polynomial.
-    if len(poly.terms) != 1:
+    groups = _bare_groups(poly)
+    if len(groups) != 2:
         return None
-    term = poly.terms[0]
-    if term.sign != 1 or term.symbol or term.saw_numeric or term.exps:
-        return None
-    if len(term.groups) != 2:
-        return None
-    (g1, p1), (g2, p2) = term.groups
-    if p1 != 1 or p2 != 1:
-        return None
+    g1, g2 = groups
     first_flat = _expand(g1)
     if any(any(slot != 0 for slot in exps) for _, _, _, exps in first_flat):
         return None
@@ -622,18 +653,10 @@ def parse_equation(text: str) -> ClunieEquation:
     den_raw: Optional[_RawPoly] = None
     if parser.at_op("/"):
         slash = parser.take()
-        bare_group = (
-            len(rhs_raw.terms) == 1
-            and rhs_raw.terms[0].sign == 1
-            and rhs_raw.terms[0].symbol is None
-            and not rhs_raw.terms[0].saw_numeric
-            and not rhs_raw.terms[0].exps
-            and len(rhs_raw.terms[0].groups) == 1
-            and rhs_raw.terms[0].groups[0][1] == 1
-        )
-        if not bare_group:
+        groups = _bare_groups(rhs_raw)
+        if len(groups) != 1:
             raise EquationSyntaxError("division must be (poly)/(poly)", slash.pos)
-        rhs_raw = rhs_raw.terms[0].groups[0][0]
+        rhs_raw = groups[0]
         parser.expect_op("(")
         den_raw = parser.parse_poly()
         parser.expect_op(")")

@@ -261,8 +261,34 @@ class ScanResult(NamedTuple):
     exceptions: ExceptionSet
     report: DensityReport
     skipped: Tuple[float, ...]  # grid points where a guard failed
-    window_divergent: bool  # does the shift window grow along the grid?
+    window_divergent: bool  # does the slow-growth hypothesis hold along the grid?
     certified: bool
+
+
+def _scan(
+    grid: Sequence[float], horizon: float, check: Callable[[float], Optional[ScanRow]]
+) -> Tuple[Tuple[ScanRow, ...], ExceptionSet, DensityReport, Tuple[float, ...]]:
+    """Run `check` at each grid radius, in order: a row, or None where a guard
+    of the lemma fails and the radius is skipped.  Returns the rows, the
+    exception set of the failing rows, its densities and the skipped radii."""
+    rows: List[ScanRow] = []
+    failing: List[bool] = []
+    skipped: List[float] = []
+    for r in grid:
+        row = check(r)
+        if row is None:
+            skipped.append(r)
+        else:
+            rows.append(row)
+        failing.append(row is not None and not row.ok)
+    es = exception_set_from_grid(grid, failing, horizon)
+    return tuple(rows), es, densities(es), tuple(skipped)
+
+
+def decays(values: Sequence[float]) -> bool:
+    """Trend test on a quantity sampled along a grid: at least four samples,
+    and the last at most half the one a quarter of the way through."""
+    return len(values) >= 4 and values[-1] <= 0.5 * values[len(values) // 4]
 
 
 def scan_additive_shift(
@@ -283,35 +309,20 @@ def scan_additive_shift(
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
-    rows: List[ScanRow] = []
-    failing: List[bool] = []
-    best = 0.0
     window_at: List[float] = []
-    for r in grid:
-        best = max(best, r / max(1.0, T.log_value(r)))
+
+    def check(r: float) -> ScanRow:
+        best = max(window_at[-1] if window_at else 0.0, r / max(1.0, T.log_value(r)))
         window_at.append(best)
         log_lhs = T.log_value(r + best**delta)
         log_rhs = T.log_value(r) + math.log1p(4.0 * best ** (delta - 0.5))
-        ok = log_lhs <= log_rhs
-        rows.append(ScanRow(r, log_lhs, log_rhs, ok))
-        failing.append(not ok)
-    es = exception_set_from_grid(grid, failing, horizon)
-    rep = densities(es)
-    divergent = _window_divergent(grid, window_at)
-    return ScanResult(
-        rows=tuple(rows),
-        exceptions=es,
-        report=rep,
-        skipped=(),
-        window_divergent=divergent,
-        certified=divergent and rep.lower_density <= 0.05,
-    )
+        return ScanRow(r, log_lhs, log_rhs, log_lhs <= log_rhs)
 
-
-def _window_divergent(grid: Sequence[float], window: Sequence[float]) -> bool:
+    rows, es, rep, skipped = _scan(grid, horizon, check)
     # compare the window at the horizon against its value a quarter through
-    k = max(0, len(grid) // 4)
-    return window[-1] >= 2.0 * window[k] and window[-1] > 4.0
+    quarter = window_at[len(grid) // 4]
+    divergent = window_at[-1] >= 2.0 * quarter and window_at[-1] > 4.0
+    return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.lower_density <= 0.05)
 
 
 def scan_windowed_shift(
@@ -333,54 +344,27 @@ def scan_windowed_shift(
         raise ValueError("delta must lie in (0, 1)")
     grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
     guard = 2.0 ** (1.0 / (1.0 - delta))
-    rows: List[ScanRow] = []
-    failing: List[bool] = []
-    skipped: List[float] = []
-    for r in grid:
+    # testable face of the hypothesis (log r)^(1+eps) log T(r) / r -> 0,
+    # sampled wherever T(r) > e
+    pressures: List[float] = []
+
+    def check(r: float) -> Optional[ScanRow]:
         try:
             w = phi_eps(T, eps, r)
         except TooSmall:
-            skipped.append(r)
-            failing.append(False)
-            continue
+            return None
+        pressures.append(math.log(r) ** (1.0 + eps) * T.log_value(r) / r)
         if w <= guard or w >= r:
-            skipped.append(r)
-            failing.append(False)
-            continue
+            return None
         gap1 = T.log_value(r + w**delta) - T.log_value(r) - math.log1p(
             4.0 * E * w ** (delta - 1.0)
         )
         gap2 = T.log_value(r + w) - T.log_value(r) - 1.0
-        ok = gap1 <= 0 and gap2 <= 0
-        rows.append(ScanRow(r, max(gap1, gap2), 0.0, ok))
-        failing.append(not ok)
-    es = exception_set_from_grid(grid, failing, horizon)
-    rep = densities(es)
-    divergent = _loglog_pressure_decays(T, eps, grid)
-    return ScanResult(
-        rows=tuple(rows),
-        exceptions=es,
-        report=rep,
-        skipped=tuple(skipped),
-        window_divergent=divergent,
-        certified=divergent and rep.log_measure < math.inf,
-    )
+        return ScanRow(r, max(gap1, gap2), 0.0, gap1 <= 0 and gap2 <= 0)
 
-
-def _loglog_pressure_decays(T: GrowthFunction, eps: float, grid: Sequence[float]) -> bool:
-    # testable face of the hypothesis (log r)^(1+eps) log T(r) / r -> 0
-    def pressure(r: float) -> Optional[float]:
-        lt = T.log_value(r)
-        if lt <= 1.0:
-            return None
-        return math.log(r) ** (1.0 + eps) * lt / r
-
-    probes = [pressure(r) for r in grid]
-    probes = [p for p in probes if p is not None]
-    if len(probes) < 4:
-        return False
-    quarter = probes[len(probes) // 4]
-    return probes[-1] <= 0.5 * quarter
+    rows, es, rep, skipped = _scan(grid, horizon, check)
+    divergent = decays(pressures)
+    return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.log_measure < math.inf)
 
 
 def scan_fixed_shift(
@@ -394,17 +378,14 @@ def scan_fixed_shift(
 ) -> ScanResult:
     """Finite-order branch: T(r+h) <= T(r) + 4*h*K*T(r)/r with caller's K."""
     grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
-    rows = []
-    failing = []
-    for r in grid:
+
+    def check(r: float) -> ScanRow:
         log_lhs = T.log_value(r + h)
         log_rhs = T.log_value(r) + math.log1p(4.0 * h * K / r)
-        ok = log_lhs <= log_rhs
-        rows.append(ScanRow(r, log_lhs, log_rhs, ok))
-        failing.append(not ok)
-    es = exception_set_from_grid(grid, failing, horizon)
-    rep = densities(es)
-    return ScanResult(tuple(rows), es, rep, (), True, rep.log_measure < math.inf)
+        return ScanRow(r, log_lhs, log_rhs, log_lhs <= log_rhs)
+
+    rows, es, rep, skipped = _scan(grid, horizon, check)
+    return ScanResult(rows, es, rep, skipped, True, rep.log_measure < math.inf)
 
 
 # ---------------------------------------------------------------------------

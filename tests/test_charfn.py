@@ -840,7 +840,7 @@ def test_log_diff_vs_bound_rational():
 def test_verify_logdiff_exponential_clean():
     rep = cf.verify_logdiff_bound(EXP_Z, 1.0, 0.25, 1.0, 1e3)
     assert rep.exceptions.is_empty
-    assert not rep.negative_control
+    assert rep.window_divergent
 
 
 def test_verify_logdiff_zero_shift():
@@ -852,7 +852,7 @@ def test_verify_logdiff_double_exponential_flagged():
     rep = cf.verify_logdiff_bound(
         cf.ExpExp(), 1.0, 0.25, 1.0, 40.0, r_min=3.0, ratio=1.2
     )
-    assert rep.negative_control
+    assert not rep.window_divergent
 
 
 # -- the separating product -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -281,6 +282,8 @@ def test_non_finite_config_rejected(capsys, argv, field):
         (["classify", "--eq", "w = {z^100000}"],
          "power 100000 in a coefficient exceeds 256 (at position 7)"),
         (["classify", "--eq", "w = {z^\u00b2}"], "unexpected character '\u00b2' (at position 7)"),
+        (["classify", "--eq", "w^99999999999999999999 = {1}"],
+         "term of degree 99999999999999999999 in w exceeds 256 (at position 2)"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -443,6 +446,33 @@ def test_report_written_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert out_path.read_bytes() == (DATA / "families_14.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--h", "1", "--K", "8",
+          "--horizon", "1000"],
+         0, "0579ddf72f6f50b74623da03385675f14b7342c9225c47c43eee4ac146d5cb89"),
+        (["growth-scan", "--growth", "exp"],
+         2, "7b73721e0d0d4cf0c0c19fd5fa3190e41c982224f406897fd65cb503b986d7e1"),
+        (["growth-scan", "--growth", "exproot:0.5", "--variant", "logmeasure"],
+         2, "6115687268d7e7368721b85257f148846613f028442ee37fe1b5208b3972451e"),
+        (["logdiff-check", "--model", "rational:{z^2-2}", "--c", "1,i", "--horizon", "2000"],
+         0, "c447d3af69887c05a81ec582bb697c91ac8d6e2ac3f50a2d2334c7e46e899728"),
+        # a negative control with 6 skipped radii
+        (["logdiff-check", "--model", "expexp", "--c", "1", "--r-min", "2", "--horizon", "4",
+          "--ratio", "1.1"],
+         0, "68b06359359ba4da1aea52455b2e015fb8ed6b8ed592a55dec22a46cbfa77589"),
+        (["shift-check", "--model", "rational:{1}/{z-1}", "--c", "1,i", "--r-min", "3",
+          "--r-max", "40"],
+         0, "fdf23973556e42f4886c052082a65e658517bbb192f6e5b38c162408cd09d4c8"),
+    ],
+)
+def test_report_bytes_pinned(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_byte_identical_reports(tmp_path, capsys):

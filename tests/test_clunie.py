@@ -11,15 +11,14 @@ from nevdiff.clunie import (
     DegreeProfile,
     GrowthAssumption,
     HypothesesViolated,
-    NotAdmissible,
     WrongBenchmark,
     benchmark_lhs,
     degree_profile,
     enumerate_families,
+    is_benchmark,
     profile_verdict,
     reduce_families,
     render_families,
-    verdict,
 )
 from nevdiff.eqparse import parse_equation, parse_polynomial
 
@@ -152,7 +151,7 @@ def test_admissibility_matches_bruteforce_oracle():
 
 def test_verdict_identity_case():
     eq = parse_equation(bench_eq("(a2*w^2+a1*w+a0)/(w^2+b1*w+b0)"))
-    v = verdict(eq)
+    v = profile_verdict(degree_profile(eq), benchmark=is_benchmark(eq.lhs))
     assert v.pole_density_bound == Fraction(1)
     assert v.zero_density_bound == Fraction(1)
     assert v.forces_identity
@@ -160,7 +159,7 @@ def test_verdict_identity_case():
 
 def test_verdict_half_density():
     eq = parse_equation(bench_eq("(a3*w^3+a2*w^2+a1*w+a0)/(w+b0)"))
-    v = verdict(eq)
+    v = profile_verdict(degree_profile(eq), benchmark=is_benchmark(eq.lhs))
     assert v.pole_density_bound == Fraction(1, 2)
     assert v.zero_density_bound == Fraction(1, 2)
     assert not v.forces_identity
@@ -168,15 +167,16 @@ def test_verdict_half_density():
 
 def test_verdict_no_density_conclusions():
     eq = parse_equation(bench_eq("w*(a1*w+a0)"))
-    v = verdict(eq)
+    v = profile_verdict(degree_profile(eq), benchmark=is_benchmark(eq.lhs))
     assert v.pole_density_bound is None
     assert v.zero_density_bound is None
 
 
-def test_verdict_raises_when_inadmissible():
+def test_verdict_rules_out_when_inadmissible():
     eq = parse_equation(bench_eq("a4*w^4+a0"))
-    with pytest.raises(NotAdmissible):
-        verdict(eq)
+    v = profile_verdict(degree_profile(eq), benchmark=is_benchmark(eq.lhs))
+    assert v.admissible is False
+    assert v.ruled_out == "degree-bound"
 
 
 def test_identity_closed_form_matches_margin_scan():

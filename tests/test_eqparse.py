@@ -221,6 +221,14 @@ def test_merged_zero_sum_still_meets_a_symbolic_duplicate():
         ("w = {(z^2+1)^200}", "coefficient of degree 400 in z exceeds 256 (at position 13)"),
         ("w = {z^200*z^57}", "coefficient of degree 257 in z exceeds 256 (at position 11)"),
         ("w = {z^200}*{z^57}*w", "coefficient of degree 257 in z exceeds 256 (at position 12)"),
+        ("w(z+1) = ({(z+1)^256}*w+{1})^20",
+         "coefficient of degree 512 in z exceeds 256 (at position 9)"),
+        ("w(z+1) = (w)^99999999", "power 99999999 of a group exceeds 256 (at position 13)"),
+        ("w^99999999999999999999 = {1}",
+         "term of degree 99999999999999999999 in w exceeds 256 (at position 2)"),
+        ("w = (w^200)^2", "term of degree 400 in w exceeds 256 (at position 4)"),
+        ("w = (" + "+".join(f"w(z+{k})" for k in range(1, 201)) + ")^2",
+         "expanding a group makes more than 32768 terms (at position 4)"),
     ],
 )
 def test_z_degree_past_the_cap_is_refused_before_it_is_computed(text, message):
