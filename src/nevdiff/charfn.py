@@ -16,7 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,20 +44,22 @@ class CharFnError(Exception):
     pass
 
 
-class RootIsolationFailure(CharFnError):
+class NumericalBreakdown(CharFnError):
+    """The numerics failed on an input, not the mathematics: the integrand
+    left the float range, a root or a quadrature did not converge, or a
+    divisor point stayed on the circle."""
+
+
+class RootIsolationFailure(NumericalBreakdown):
     pass
 
 
-class PoleOnCircle(CharFnError):
+class PoleOnCircle(NumericalBreakdown):
     """A divisor point sits on the integration circle after 3 nudges."""
 
 
-class QuadratureNonConvergence(CharFnError):
+class QuadratureNonConvergence(NumericalBreakdown):
     pass
-
-
-class NumericalBreakdown(CharFnError):
-    """The integrand left the float range (NaN or +inf) on a circle."""
 
 
 # ---------------------------------------------------------------------------
@@ -73,46 +75,128 @@ class Ring(NamedTuple):
     offset: complex
 
 
-# a divisor of one kind: (|z - offset|, multiplicity) float arrays of its
-# points, and its rings, which are counted in closed form
-Divisor = Tuple[np.ndarray, np.ndarray, Tuple[Ring, ...]]
+# a divisor of one kind moved by -offset: its points as (z - offset,
+# multiplicity) pairs, and its rings
+Divisor = Tuple[List[Tuple[complex, float]], Tuple[Ring, ...]]
+
+_KINDS = ("zeros", "poles")
+_OTHER_KIND = {"zeros": "poles", "poles": "zeros"}
 
 
 class MeromorphicModel(Model):
-    """A concrete function given by stable log-modulus and explicit divisors."""
+    """A concrete function given by a stable log-modulus and its divisor.
+
+    A model defines `log_abs` and `divisor_blocks`; its point listings, the
+    seed angles of its quadrature and the error bar of its averaged rings
+    are all read off the blocks of both kinds.
+    """
 
     label = "model"
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        return []
-
-    def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        return []
-
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         """The whole finite zero ("zeros") or pole ("poles") divisor moved
         by -offset, points in no particular order."""
-        pts = self.zeros(math.inf) if kind == "zeros" else self.poles(math.inf)
-        return (
-            np.array([abs(z - offset) for z, _ in pts], dtype=float),
-            np.array([m for _, m in pts], dtype=float),
-            (),
-        )
+        return [], ()
 
-    def band_error(self, r: float, offset: complex = 0j) -> float:
-        """Quadrature error bound on circle r from rings evaluated by their
-        circle mean, with the divisor moved by -offset."""
-        return 0.0
+    # Fraction hashing is slow, and scans look models up by hash per radius
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _blocks(self) -> Dict[str, Divisor]:
+        return {kind: self.divisor_blocks(kind) for kind in _KINDS}
+
+    def zeros(self, radius: float) -> List[Tuple[complex, float]]:
+        return self._listing("zeros", radius)
+
+    def poles(self, radius: float) -> List[Tuple[complex, float]]:
+        return self._listing("poles", radius)
+
+    def _listing(self, kind: str, radius: float) -> List[Tuple[complex, float]]:
+        """The divisor points of one kind in |z| <= radius, with the points
+        of every ring that reaches the disc."""
+        points, rings = self._blocks[kind]
+        rings = [ring for ring in rings if ring.R - abs(ring.offset) <= radius]
+        inside = sum(ring.n for ring in rings)
+        if inside > _DIRECT_MAX:
+            raise ValueError(f"listing the {inside} {kind} in |z| <= {radius:g} "
+                             f"exceeds {_DIRECT_MAX} points")
+        out = [(q, m) for q, m in points if abs(q) <= radius]
+        for ring in rings:
+            q = _ring_array(ring)
+            # an unshifted ring lies on |z| = R <= radius, up to rounding
+            if ring.offset != 0:
+                q = q[np.abs(q) <= radius]
+            out.extend((z, ring.mult) for z in q.tolist())
+        return out
+
+    @cached_property
+    def _averaged(self) -> List[Tuple[int, float, float, float]]:
+        """(kind index, R, |offset|, band) of the rings that `log_abs`
+        evaluates by their circle mean, kind by kind."""
+        return [
+            (k, R, abs(c), R * _EXACT_BAND / n)
+            for k, kind in enumerate(_KINDS) for R, n, _, c in self._blocks[kind][1]
+            if n >= _RIPPLE_AVERAGE_N
+        ]
+
+    def band_error(self, r: float) -> float:
+        """Quadrature error bound on circle r from the rings evaluated by
+        their circle mean: each whose band the circle meets adds two
+        transversal crossings, each an arc of order band wide."""
+        sums = [0.0, 0.0]  # zeros, poles
+        for k, R, ac, band in self._averaged:
+            if r - ac <= R + band and r + ac >= R - band:
+                sums[k] += 2.0 * min(TWO_PI, 16.0 * band / max(r, 1.0)) * 0.7
+        return sums[0] + sums[1]
+
+    @cached_property
+    def _seed_parts(self) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float, float]]]:
+        """(|q|, arg q) of the divisor points q of both kinds, those of rings
+        of at most 256 points included, and (R, |c|, arg c) of the larger
+        rings shifted by c."""
+        points, crossing = [], []
+        for kind in _KINDS:
+            listed, rings = self._blocks[kind]
+            qs = [q for q, _ in listed]
+            for R, n, _, c in rings:
+                if c == 0 and n <= 256:
+                    # angles as exact fractions of a turn
+                    points.extend((R, TWO_PI * j / n) for j in range(n))
+                elif n <= 256:
+                    qs.extend(R * cmath.exp(2j * math.pi * j / n) - c for j in range(n))
+                elif c != 0:
+                    crossing.append((R, abs(c), math.atan2(c.imag, c.real)))
+            points.extend((abs(q), math.atan2(q.imag, q.real)) for q in qs if q != 0)
+        return points, crossing
 
     def seed_angles(self, r: float) -> List[float]:
-        """Angles where the integrand may have structure near circle r."""
-        return []
+        """Angles where the integrand may have structure near circle r: the
+        divisor points within 10% of r, those of rings of at most 256 points
+        included, and the two angles where a larger shifted ring crosses
+        the circle."""
+        points, crossing = self._seed_parts
+        out = [a for q_abs, a in points if abs(q_abs - r) <= 0.1 * r]
+        for R, ac, arg_c in crossing:
+            # where |r e^{i theta} + c| = R
+            u = (R * R - r * r - ac * ac) / (2.0 * r * ac)
+            if abs(u) <= 1.0:
+                d = math.acos(u)
+                out += [arg_c + d, arg_c - d]
+        return out
 
 
-_OTHER_KIND = {"zeros": "poles", "poles": "zeros"}
+def _ring_array(ring: Ring) -> np.ndarray:
+    """The ring's points as a complex array."""
+    R, n, _, c = ring
+    return R * np.exp(1j * (TWO_PI * np.arange(n) / n)) - c
 
 
 def _poly_floats(coeffs: Sequence[Fraction]) -> np.ndarray:
@@ -164,14 +248,6 @@ class RationalFn(MeromorphicModel):
     def degree(self) -> int:
         return max(_frac_degree(self.num), _frac_degree(self.den))
 
-    # Fraction hashing is slow, and scans look models up by hash per radius
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.num, self.den))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
     def _floats(self) -> Tuple[np.ndarray, np.ndarray]:
         return _poly_floats(self.num), _poly_floats(self.den)
@@ -186,19 +262,8 @@ class RationalFn(MeromorphicModel):
         with np.errstate(divide="ignore"):
             return np.log(np.abs(_polyval(num, z))) - np.log(np.abs(_polyval(den, z)))
 
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(z, m) for z, m in self._roots[0] if abs(z) <= radius]
-
-    def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(z, m) for z, m in self._roots[1] if abs(z) <= radius]
-
-    def seed_angles(self, r: float) -> List[float]:
-        out = []
-        for roots in self._roots:
-            for z, _ in roots:
-                if abs(abs(z) - r) <= 0.1 * r and z != 0:
-                    out.append(math.atan2(z.imag, z.real))
-        return out
+    def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
+        return [(z - offset, m) for z, m in self._roots[_KINDS.index(kind)]], ()
 
 
 def _frac_degree(coeffs: Sequence[Fraction]) -> int:
@@ -209,13 +274,18 @@ def _frac_degree(coeffs: Sequence[Fraction]) -> int:
     return deg
 
 
-def _poly_text_frac(coeffs: Sequence[Fraction]) -> str:
-    from .zfield import zp_text
-
+def _cleared(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """The coefficients times their least common denominator, and that."""
     denom = 1
     for c in coeffs:
         denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = tuple(int(c * denom) for c in coeffs)
+    return tuple(int(c * denom) for c in coeffs), denom
+
+
+def _poly_text_frac(coeffs: Sequence[Fraction]) -> str:
+    from .zfield import zp_text
+
+    ints, denom = _cleared(coeffs)
     txt = zp_text(ints)
     return txt if denom == 1 else f"({txt})/{denom}"
 
@@ -223,13 +293,7 @@ def _poly_text_frac(coeffs: Sequence[Fraction]) -> str:
 def _require_coprime(num: Sequence[Fraction], den: Sequence[Fraction]) -> None:
     from .zfield import zp_gcd, zp_degree, zp_normal
 
-    def clear(coeffs):
-        d = 1
-        for c in coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return zp_normal(int(c * d) for c in coeffs)
-
-    g = zp_gcd(clear(num), clear(den))
+    g = zp_gcd(zp_normal(_cleared(num)[0]), zp_normal(_cleared(den)[0]))
     if zp_degree(g) > 0:
         raise ValueError("numerator and denominator share a polynomial factor")
 
@@ -284,57 +348,10 @@ class CanonicalProduct(MeromorphicModel):
             _add_ring_log_abs(out, z, log_r, lo, hi, rk, nk)
         return out
 
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        inside = sum(nk for rk, nk in self.levels if rk <= radius)
-        if inside > _DIRECT_MAX:
-            raise ValueError(f"listing the {inside} zeros in |z| <= {radius:g} "
-                             f"exceeds {_DIRECT_MAX} points")
-        pts: List[Tuple[complex, int]] = []
-        for rk, nk in self.levels:
-            if rk <= radius:
-                angles = TWO_PI * np.arange(nk) / nk
-                for a in angles:
-                    pts.append((rk * complex(math.cos(a), math.sin(a)), 1))
-        return pts
-
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         if kind == "poles":
-            return np.zeros(0), np.zeros(0), ()
-        if offset == 0:
-            # one point per ring: all n_k zeros sit at |z| = r_k
-            mags, mults = np.array(self.levels, dtype=float).T
-            return mags, mults, ()
-        # the series of a ring with R/2 < |offset| < 2R converges too
-        # slowly, so such a ring goes into the point index instead
-        near = [(rk, nk) for rk, nk in self.levels if 0.5 < abs(offset) / rk < 2.0]
-        if any(nk > _DIRECT_MAX for _, nk in near):
-            raise ValueError(f"counting a ring of more than {_DIRECT_MAX} points shifted "
-                             f"by |c|={abs(offset):g} needs |c| <= R/2 or |c| >= 2R")
-        mags = np.concatenate([np.zeros(0)] + [
-            np.abs(rk * np.exp(1j * (TWO_PI * np.arange(nk) / nk)) - offset) for rk, nk in near
-        ])
-        rings = tuple(Ring(rk, nk, 1.0, offset) for rk, nk in self.levels if (rk, nk) not in near)
-        return mags, np.ones_like(mags), rings
-
-    def band_error(self, r: float, offset: complex = 0j) -> float:
-        total = 0.0
-        for rk, nk in self.levels:
-            if nk < _RIPPLE_AVERAGE_N:
-                continue
-            span_lo, span_hi = r - abs(offset), r + abs(offset)
-            band = rk * _EXACT_BAND / nk
-            if span_lo <= rk + band and span_hi >= rk - band:
-                # two transversal crossings, each an arc of order band wide
-                arc = min(TWO_PI, 16.0 * band / max(r, 1.0))
-                total += 2.0 * arc * 0.7
-        return total
-
-    def seed_angles(self, r: float) -> List[float]:
-        out: List[float] = []
-        for rk, nk in self.levels:
-            if abs(rk - r) <= 0.1 * r and nk <= 256:
-                out.extend((TWO_PI * j / nk) for j in range(nk))
-        return out
+            return [], ()
+        return [], tuple(Ring(rk, nk, 1.0, offset) for rk, nk in self.levels)
 
 
 def _add_ring_log_abs(out: np.ndarray, z: np.ndarray, log_r: np.ndarray,
@@ -384,13 +401,6 @@ class ExpPoly(MeromorphicModel):
         return f"exp:{_poly_text_frac(self.exponent)}"
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.exponent,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
     def _floats(self) -> np.ndarray:
         return _poly_floats(self.exponent)
 
@@ -421,63 +431,8 @@ class Shifted(MeromorphicModel):
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return self.base.log_abs(z + self.c)
 
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        return [
-            (z - self.c, m)
-            for z, m in self.base.zeros(radius + abs(self.c))
-            if abs(z - self.c) <= radius
-        ]
-
-    def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        return [
-            (z - self.c, m)
-            for z, m in self.base.poles(radius + abs(self.c))
-            if abs(z - self.c) <= radius
-        ]
-
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         return self.base.divisor_blocks(kind, offset + self.c)
-
-    def band_error(self, r: float, offset: complex = 0j) -> float:
-        return self.base.band_error(r, offset + self.c)
-
-    def seed_angles(self, r: float) -> List[float]:
-        out: List[float] = []
-        base = self.base
-        if isinstance(base, CanonicalProduct):
-            for rk, nk in base.levels:
-                if nk <= 256:
-                    for z, _ in _ring_points(rk, nk):
-                        q = z - self.c
-                        if abs(abs(q) - r) <= 0.1 * r and q != 0:
-                            out.append(math.atan2(q.imag, q.real))
-                else:
-                    out.extend(_ring_crossing_angles(r, self.c, rk))
-            return out
-        for z, _ in base.zeros(r + abs(self.c)) + base.poles(r + abs(self.c)):
-            q = z - self.c
-            if abs(abs(q) - r) <= 0.1 * r and q != 0:
-                out.append(math.atan2(q.imag, q.real))
-        return out
-
-
-def _ring_points(rk: float, nk: int) -> List[Tuple[complex, int]]:
-    return [
-        (rk * cmath.exp(2j * math.pi * j / nk), 1) for j in range(nk)
-    ]
-
-
-def _ring_crossing_angles(r: float, c: complex, rk: float) -> List[float]:
-    # angles where |r e^{i theta} + c| = rk
-    ac = abs(c)
-    if ac == 0:
-        return []
-    u = (rk * rk - r * r - ac * ac) / (2.0 * r * ac)
-    if abs(u) > 1.0:
-        return []
-    base = math.atan2(c.imag, c.real)
-    d = math.acos(u)
-    return [base + d, base - d]
 
 
 class Quotient(MeromorphicModel):
@@ -496,22 +451,10 @@ class Quotient(MeromorphicModel):
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return self.num.log_abs(z) - self.den.log_abs(z)
 
-    def zeros(self, radius: float) -> List[Tuple[complex, int]]:
-        return self.num.zeros(radius) + self.den.poles(radius)
-
-    def poles(self, radius: float) -> List[Tuple[complex, int]]:
-        return self.num.poles(radius) + self.den.zeros(radius)
-
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
-        num = self.num.divisor_blocks(kind, offset)
-        den = self.den.divisor_blocks(_OTHER_KIND[kind], offset)
-        return np.concatenate([num[0], den[0]]), np.concatenate([num[1], den[1]]), num[2] + den[2]
-
-    def band_error(self, r: float, offset: complex = 0j) -> float:
-        return self.num.band_error(r, offset) + self.den.band_error(r, offset)
-
-    def seed_angles(self, r: float) -> List[float]:
-        return self.num.seed_angles(r) + self.den.seed_angles(r)
+        num_points, num_rings = self.num.divisor_blocks(kind, offset)
+        den_points, den_rings = self.den.divisor_blocks(_OTHER_KIND[kind], offset)
+        return num_points + den_points, num_rings + den_rings
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +714,30 @@ def _block_means(
 def _counting_arrays(model: MeromorphicModel, kind: str):
     """One index over the model's whole divisor of one kind: sorted point
     magnitudes with prefix sums for O(log n) counting queries at any radius,
-    the multiplicity at the origin, and the rings, counted in closed form."""
-    mags, mults, rings = model.divisor_blocks(kind)
+    the multiplicity at the origin, and the rings counted in closed form.
+
+    An unshifted ring is one point of multiplicity n.  The series of a ring
+    with R/2 < |offset| < 2R converges too slowly, so its points go into the
+    index instead."""
+    points, rings = model._blocks[kind]
+    for R, n, _, c in rings:  # before any ring is materialised
+        if n > _DIRECT_MAX and 0.5 < abs(c) / R < 2.0:
+            raise ValueError(f"counting a ring of more than {_DIRECT_MAX} points shifted "
+                             f"by |c|={abs(c):g} needs |c| <= R/2 or |c| >= 2R")
+    mags = [np.array([abs(q) for q, _ in points], dtype=float)]
+    mults = [np.array([m for _, m in points], dtype=float)]
+    closed = []
+    for ring in rings:
+        R, n, mult, c = ring
+        if c == 0:
+            mags.append(np.array([R]))
+            mults.append(np.array([n * mult]))
+        elif 0.5 < abs(c) / R < 2.0:
+            mags.append(np.abs(_ring_array(ring)))
+            mults.append(np.full(n, mult))
+        else:
+            closed.append(ring)
+    mags, mults = np.concatenate(mags), np.concatenate(mults)
     at_origin = mags <= 1e-12
     n0 = float(mults[at_origin].sum())
     mags, mults = mags[~at_origin], mults[~at_origin]
@@ -781,7 +746,7 @@ def _counting_arrays(model: MeromorphicModel, kind: str):
     mags, mults = mags[order], mults[order]
     prefix_m = np.concatenate([[0.0], np.cumsum(mults)])
     prefix_mlog = np.concatenate([[0.0], np.cumsum(mults * np.log(mags))])
-    return mags, prefix_m, prefix_mlog, n0, rings
+    return mags, prefix_m, prefix_mlog, n0, tuple(closed)
 
 
 def counting_N(model: MeromorphicModel, r: float, of: str = "poles") -> float:
@@ -873,41 +838,35 @@ class CharacteristicSample(NamedTuple):
     quad_error: float
 
 
-def _perturb_off_divisor(model: MeromorphicModel, r: float) -> float:
-    pole_mags, *_, rings = _counting_arrays(model, "poles")
-    for _ in range(3):
-        lo, hi = r - 1e-12 * r, r + 1e-12 * r
-        # the first pole magnitude at or above lo, if any, decides for the
-        # points; a ring has a pole in [lo, hi] if its arcs at lo and hi differ
-        k = pole_mags.searchsorted(lo)
-        if (k == len(pole_mags) or pole_mags[k] > hi) and not any(
-            _arc(ring, lo)[1] != _arc(ring, hi)[1] for ring in rings
-        ):
-            return r
-        r = r * (1.0 + 1e-9)
-    raise PoleOnCircle(f"poles stayed on |z| = {r:g} after 3 nudges")
-
-
 def _off_poles(
     model: MeromorphicModel, radii: Sequence[float]
 ) -> Tuple[List[float], Optional[PoleOnCircle]]:
     """The radii nudged off the poles, in order, up to the first that stays
-    on one and its error."""
+    on one after 3 nudges and its error."""
     if not radii:  # a scan of no radii builds no pole index
         return [], None
     pole_mags, *_, rings = _counting_arrays(model, "poles")
     # the first pole magnitude at or above r (1 - 1e-12) decides for the
     # points, so one search over the grid finds the radii that need a nudge;
-    # a ring's crossings are checked per radius
+    # a ring has a pole in [lo, hi] if its arcs at lo and hi differ, which
+    # is checked per radius
     rb = np.array(radii, dtype=float)
     k = pole_mags.searchsorted(rb - 1e-12 * rb)
     near = np.append(pole_mags, np.inf)[k] <= rb + 1e-12 * rb
     used = list(radii)
     for j in range(len(radii)) if rings else np.flatnonzero(near).tolist():
-        try:
-            used[j] = _perturb_off_divisor(model, radii[j])
-        except PoleOnCircle as exc:
-            return used[:j], exc
+        r = radii[j]
+        for _ in range(3):
+            lo, hi = r - 1e-12 * r, r + 1e-12 * r
+            i = pole_mags.searchsorted(lo)
+            if (i == len(pole_mags) or pole_mags[i] > hi) and not any(
+                _arc(ring, lo)[1] != _arc(ring, hi)[1] for ring in rings
+            ):
+                break
+            r = r * (1.0 + 1e-9)
+        else:
+            return used[:j], PoleOnCircle(f"poles stayed on |z| = {r:g} after 3 nudges")
+        used[j] = r
     return used, None
 
 
@@ -988,10 +947,6 @@ class ShiftCheckRow(NamedTuple):
     quad_error: float
 
 
-def _counting_kind_default(model: MeromorphicModel, probe_radius: float) -> str:
-    return "poles" if model.poles(probe_radius) else "zeros"
-
-
 def _counting_factor(c_abs: float, r: float) -> float:
     if c_abs == 0.0:
         return 1.0
@@ -1039,7 +994,8 @@ def _shift_rows(
         model, [r + c_abs for r in radii[: len(lhs_means)]], tol_unit
     )
     done = radii[: len(far_means)]
-    kinds = [of or _counting_kind_default(model, r + c_abs + 1.0) for r in done]
+    # by default the poles, if any lie in the disc a little past r + |c|
+    kinds = [of or ("poles" if model.poles(r + c_abs + 1.0) else "zeros") for r in done]
     # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f)
     counts = {
         kind: (

@@ -122,6 +122,8 @@ def geometric_grid(r_min: float, r_max: float, ratio: float) -> List[float]:
         raise ValueError("grid ratio must exceed 1")
     if r_min <= 0:
         raise ValueError(f"grid start must be positive, got {r_min}")
+    if r_max < r_min:
+        raise ValueError(f"grid end {r_max:g} is below its start {r_min:g}")
     if r_max > r_min and math.log(r_max / r_min) / math.log(ratio) > MAX_GRID_RADII:
         raise ValueError(
             f"grid from {r_min:g} to {r_max:g} at ratio {ratio} needs more than "

@@ -222,7 +222,13 @@ class RatZ(NamedTuple):
         return self + (-other)
 
     def __mul__(self, other: "RatZ") -> "RatZ":
-        return ratz(zp_mul(self.num, other.num), zp_mul(self.den, other.den))
+        if self.is_zero or other.is_zero:
+            return RZ_ZERO
+        # cancelling crosswise keeps every gcd at a factor's degree; both
+        # operands are reduced, so the products then share only constants
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return _primitive(zp_mul(n1, n2), zp_mul(d1, d2))
 
     def __truediv__(self, other: "RatZ") -> "RatZ":
         if other.is_zero:
@@ -248,11 +254,20 @@ def ratz(num: Iterable[int], den: Iterable[int] = (1,)) -> RatZ:
         raise ZeroDivisionError("zero denominator")
     if not n:
         return RatZ(ZP_ZERO, ZP_ONE)
+    return _primitive(*_cancel(n, d))
+
+
+def _cancel(n: ZPoly, d: ZPoly) -> Tuple[ZPoly, ZPoly]:
+    """n and d divided by their gcd; a constant side shares only constants."""
     if len(n) > 1 and len(d) > 1:
         g = zp_gcd(n, d)
         if len(g) > 1:
-            n = zp_divexact(n, g)
-            d = zp_divexact(d, g)
+            return zp_divexact(n, g), zp_divexact(d, g)
+    return n, d
+
+
+def _primitive(n: ZPoly, d: ZPoly) -> RatZ:
+    """n/d with joint content 1 and a positive leading coefficient of d."""
     c = math.gcd(*n, *d)
     if d[-1] < 0:
         c = -c

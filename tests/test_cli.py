@@ -284,6 +284,16 @@ def test_non_finite_config_rejected(capsys, argv, field):
         (["classify", "--eq", "w = {z^\u00b2}"], "unexpected character '\u00b2' (at position 7)"),
         (["classify", "--eq", "w^99999999999999999999 = {1}"],
          "term of degree 99999999999999999999 in w exceeds 256 (at position 2)"),
+        # a quadrature that cannot converge is a numerical failure, not a
+        # mathematical rejection
+        (["characteristic", "--model", "exp:z", "--r-min", "3", "--r-max", "3",
+          "--tol-unit", "1e-300"], "numerical: too many panels at r=3"),
+        (["characteristic", "--model", "expexp", "--r-min", "5", "--r-max", "3"],
+         "grid end 3 is below its start 5"),
+        (["logdiff-check", "--model", "exp:z", "--r-min", "100", "--horizon", "50"],
+         "grid end 50 is below its start 100"),
+        (["growth-scan", "--growth", "power:2", "--horizon", "0.5"],
+         "grid end 0.5 is below its start 1"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -414,12 +424,20 @@ def test_product_example_past_the_finite_order_guard(capsys):
     assert err == "rejected: finite-order guard: level 7 has log n_k / log r_k = 8.49 >= 8\n"
 
 
+def test_shift_check_runs_a_shift_of_a_shifted_product(capsys):
+    # its ring of 3,358,333,174 zeros at 64 seeds the quadrature by its two
+    # crossings, as a single shift does, instead of being listed
+    code, out, err = run(capsys, "shift-check", "--model", "shift:1:product:s=4", "--c", "1",
+                         "--r-min", "62", "--r-max", "70")
+    assert (code, err) == (0, "")
+    assert out.startswith("c,r,")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # a shift of a shifted product lists the ring of 3,358,333,174
-        # zeros at 64 for its quadrature seeds
-        (["--model", "shift:1:product:s=4", "--c", "1"], "exceeds 10000000 points"),
+        # the same holds for a shift of a shift whose sum is within a factor 2
+        (["--model", "shift:40:product:s=4", "--c", "1"], "shifted by |c|=41 needs"),
         # a shift within a factor 2 of that ring puts it in the point index
         (["--model", "product:s=4", "--c", "40"], "needs |c| <= R/2 or |c| >= 2R"),
     ],

@@ -27,7 +27,7 @@ from nevdiff.eqparse import (
     to_canonical_text,
     validate_no_common_factors,
 )
-from nevdiff.zfield import RatZ
+from nevdiff.zfield import RatZ, zp_mul
 
 from helpers import random_equation
 
@@ -193,6 +193,26 @@ def test_non_decimal_digits_are_syntax_errors(text, position):
 def test_numbers_past_the_int_digit_limit_are_syntax_errors(text):
     with pytest.raises(EquationSyntaxError, match=r"^number too long \(at position [45]\)$"):
         parse_equation(text)
+
+
+def test_product_of_high_degree_coefficients_reduces_fast():
+    # every gcd of the product is taken at a factor's degree, 64, not 128
+    t0 = time.perf_counter()
+    eq = parse_equation("w = {(z+1)^64/(z-1)^64}*{(z+2)^64/(z+3)^64}*w")
+    assert time.perf_counter() - t0 < 1.0
+    (coeff, _), = eq.numerator.terms
+    assert coeff == RatZ(*_expanded(((1, 1), (2, 1)), ((-1, 1), (3, 1)), 64))
+
+
+def _expanded(num_factors, den_factors, power):
+    """The product of the factors' powers, as (num, den) of a RatZ."""
+    def product(factors):
+        out = (1,)
+        for f in factors:
+            for _ in range(power):
+                out = zp_mul(out, f)
+        return out
+    return product(num_factors), product(den_factors)
 
 
 def test_group_power_merges_like_terms():

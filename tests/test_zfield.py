@@ -206,6 +206,15 @@ def test_ratz_is_canonical(f, n, d):
     assert zp_mul(r.num, den) == zp_mul(num, r.den)
 
 
+@given(zpolys, zpolys, nonzero_zpolys, zpolys, nonzero_zpolys, nonzero_zpolys)
+def test_ratz_product_cancels_crosswise(f, n1, d1, n2, d2, g):
+    # f is planted across the operands, g along the first one
+    a = ratz(zp_mul(n1, f), zp_mul(d1, g)) if zp_mul(n1, f) else RZ_ZERO
+    b = ratz(zp_mul(n2, g), zp_mul(d2, f) or d2) if zp_mul(n2, g) else RZ_ZERO
+    assert a * b == ratz(zp_mul(a.num, b.num), zp_mul(a.den, b.den))
+    assert b * a == a * b
+
+
 def _ratfuns():
     nums = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(zp_normal)
     dens = st.sampled_from([(1,), (2,), (-1, 1), (3, 2), (1, 0, 1)])
