@@ -966,52 +966,45 @@ def shift_inequality_sweep(
     r_max: float,
     ratio: float = 1.05,
     *,
-    of: Optional[str] = None,
     tol_unit: float = 1e-8,
 ) -> List[ShiftCheckRow]:
-    return _shift_rows(model, c, geometric_grid(r_min, r_max, ratio), of, tol_unit)
+    return _shift_rows(model, c, geometric_grid(r_min, r_max, ratio), tol_unit)
 
 
 def _shift_rows(
-    model: MeromorphicModel,
-    c: complex,
-    radii: Sequence[float],
-    of: Optional[str],
-    tol_unit: float,
+    model: MeromorphicModel, c: complex, radii: Sequence[float], tol_unit: float
 ) -> List[ShiftCheckRow]:
     c_abs = abs(c)
     if any(r <= 1.0 + c_abs for r in radii):
         raise ValueError("need r > 1 + |c|")
     shifted = Shifted(model, c)
-    # the additive constants: the same quantities at the base radius
-    r0 = 1.0 + 2.0 * c_abs
-    const_t = proximity_m(model, r0, tol_unit=tol_unit).value + counting_N(
-        model, r0, of="poles"
-    )
-
     lhs_means, lhs_err = _proximity_prefix(shifted, radii, tol_unit)
-    far_means, far_err = _proximity_prefix(
-        model, [r + c_abs for r in radii[: len(lhs_means)]], tol_unit
-    )
-    done = radii[: len(far_means)]
-    # by default the poles, if any lie in the disc a little past r + |c|
-    kinds = [of or ("poles" if model.poles(r + c_abs + 1.0) else "zeros") for r in done]
+    # the additive constants are the same quantities at the base radius
+    # r0 = 1 + 2|c|, the far grid's first radius; a scan meets r0 before any row
+    far = [1.0 + 2.0 * c_abs] + [r + c_abs for r in radii]
+    far_means, far_err = _proximity_prefix(model, far[: len(lhs_means) + 1], tol_unit)
+    if not far_means:
+        raise far_err
+    done = radii[: len(far_means) - 1]
+    # the poles, if any lie in the disc a little past r + |c|
+    kinds = ["poles" if model.poles(r + c_abs + 1.0) else "zeros" for r in done]
     # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f)
     counts = {
         kind: (
             _counting_grid(shifted, done, kind),
-            _counting_grid(model, [r0] + [r + c_abs for r in done], kind),
+            _counting_grid(model, far[: len(far_means)], kind),
         )
         for kind in dict.fromkeys(kinds + ["poles"])
     }
+    const_t = far_means[0].value + counts["poles"][1][0]
     rows = []
     for i, r in enumerate(radii):
         # raise what a scan in radius order meets first
         if i == len(lhs_means):
             raise lhs_err
-        if i == len(far_means):
+        if i + 1 == len(far_means):
             raise far_err
-        lhs_mean, far_mean = lhs_means[i], far_means[i]
+        lhs_mean, far_mean = lhs_means[i], far_means[i + 1]
         kind = kinds[i]
         (lhs_ns, base_ns), (lhs_ps, base_ps) = counts[kind], counts["poles"]
 
@@ -1188,42 +1181,42 @@ class ProductWindowRow(NamedTuple):
 
 
 def example_product_report(
-    model: CanonicalProduct,
-    s: int,
-    c: complex = 3.0 + 0j,
-    *,
-    samples: int = 6,
-    tol_unit: float = 1e-8,
+    model: CanonicalProduct, s: int, *, samples: int = 6, tol_unit: float = 1e-8
 ) -> List[ProductWindowRow]:
-    """Table over the window [r_s - 1/2, r_s).
+    """Table over the window [r_s - 1/2, r_s) for the shift c = 3.
 
     The top of the window sits on the level-s zero ring, where the quotient
     integrand has that ring's zeros as poles on the circle; the grid stops a
     small guard short of it.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     if not 1 <= s <= len(model.levels):
         raise ValueError("level index out of range")
     rs = model.levels[s - 1][0]
     guard = max(1.0 / 64.0, 2.0 * rs * _EXACT_BAND / model.levels[s - 1][1] / 1000.0)
     lo, hi = rs - 0.5, rs - guard
-    shifted = Shifted(model, c)
-    rows = []
-    for k in range(samples):
-        r = lo + (hi - lo) * k / (samples - 1)
-        t_base = characteristic_T(model, r, tol_unit=tol_unit)
-        t_shift = characteristic_T(shifted, r, tol_unit=tol_unit)
-        m_quot = log_diff_m(model, c, r, tol_unit=tol_unit)
-        rows.append(
-            ProductWindowRow(
-                r=r,
-                t_base=t_base.T,
-                t_shifted=t_shift.T,
-                m_quotient=m_quot.value,
-                separation_ratio=m_quot.value / t_shift.T,
-                smallness_ratio=t_base.T / t_shift.T,
-            )
+    grid = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    shifted = Shifted(model, 3.0 + 0j)
+    base, base_err = _characteristic_prefix(model, grid, tol_unit)
+    shift, shift_err = _characteristic_prefix(shifted, grid[: len(base)], tol_unit)
+    quot, quot_err = _proximity_prefix(Quotient(shifted, model), grid[: len(shift)], tol_unit)
+    # raise what the rows in order meet first, T(r, f) before T(r, f_c)
+    # before m(r, f_c/f): the first column that stops where the quotient does
+    for done, err in ((len(base), base_err), (len(shift), shift_err), (len(quot), quot_err)):
+        if done == len(quot) < len(grid):
+            raise err
+    return [
+        ProductWindowRow(
+            r=r,
+            t_base=t_base.T,
+            t_shifted=t_shift.T,
+            m_quotient=m_quot.value,
+            separation_ratio=m_quot.value / t_shift.T,
+            smallness_ratio=t_base.T / t_shift.T,
         )
-    return rows
+        for r, t_base, t_shift, m_quot in zip(grid, base, shift, quot)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -328,11 +328,13 @@ def _growth_from_spec(text: str) -> growth.GrowthFunction:
     if text == "exp":
         return growth.PureExpGrowth()
     head, _, arg = text.partition(":")
-    if head == "power":
-        return growth.PowerGrowth(float(arg))
-    if head == "exproot":
-        return growth.ExpRootGrowth(float(arg))
-    raise ValueError(f"unknown growth spec {text!r}")
+    make = {"power": growth.PowerGrowth, "exproot": growth.ExpRootGrowth}.get(head)
+    if make is None:
+        raise ValueError(f"unknown growth spec {text!r}")
+    value = float(arg)
+    if not abs(value) < float("inf"):  # nan too
+        raise ValueError(f"growth parameter must be finite, got {value}")
+    return make(value)
 
 
 def cmd_growth_scan(cfg: RunConfig) -> int:

@@ -84,19 +84,18 @@ class PowerGrowth(GrowthFunction):
 
 
 class ExpRootGrowth(GrowthFunction):
-    """T(r) = scale * exp(r^alpha)."""
+    """T(r) = exp(r^alpha)."""
 
-    _fields = ("alpha", "scale")
+    _fields = ("alpha",)
 
-    def __init__(self, alpha: float, scale: float = 1.0):
+    def __init__(self, alpha: float):
         self.alpha = alpha
-        self.scale = scale
 
     def value(self, r: float) -> float:
-        return self.scale * math.exp(r**self.alpha)
+        return math.exp(r**self.alpha)
 
     def log_value(self, r: float) -> float:
-        return math.log(self.scale) + r**self.alpha
+        return r**self.alpha
 
     @property
     def label(self) -> str:
@@ -227,12 +226,12 @@ def densities(es: ExceptionSet) -> DensityReport:
 # shift-window functionals
 
 
-def phi(T: GrowthFunction, r: float, *, grid_ratio: float = 1.0005) -> float:
+def phi(T: GrowthFunction, r: float) -> float:
     """Running maximum of t / max(1, log T(t)) over [1, r]."""
     if r < 1:
         raise ValueError("phi is defined on [1, oo)")
     best = 0.0
-    for t in geometric_grid(1.0, r, grid_ratio):
+    for t in geometric_grid(1.0, r, 1.0005):
         v = t / max(1.0, T.log_value(t))
         if v > best:
             best = v
@@ -293,14 +292,7 @@ def decays(values: Sequence[float]) -> bool:
     return len(values) >= 4 and values[-1] <= 0.5 * values[len(values) // 4]
 
 
-def scan_additive_shift(
-    T: GrowthFunction,
-    delta: float,
-    horizon: float,
-    *,
-    grid_ratio: float = 1.01,
-    r_min: float = 1.0,
-) -> ScanResult:
+def scan_additive_shift(T: GrowthFunction, delta: float, horizon: float) -> ScanResult:
     """Check T(r + window^delta) <= T(r) + 4*window^(delta-1/2)*T(r).
 
     The window is the running max of t/max(1, log T(t)).  Certification of a
@@ -310,7 +302,7 @@ def scan_additive_shift(
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
+    grid = geometric_grid(1.0, horizon, 1.01)
     window_at: List[float] = []
 
     def check(r: float) -> ScanRow:
@@ -327,15 +319,7 @@ def scan_additive_shift(
     return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.lower_density <= 0.05)
 
 
-def scan_windowed_shift(
-    T: GrowthFunction,
-    delta: float,
-    eps: float,
-    horizon: float,
-    *,
-    grid_ratio: float = 1.01,
-    r_min: float = 1.0,
-) -> ScanResult:
+def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: float) -> ScanResult:
     """Check both T(r + window^delta) <= T(r)*(1 + 4e*window^(delta-1)) and
     T(r + window) <= e*T(r) for the log-log window.
 
@@ -344,7 +328,7 @@ def scan_windowed_shift(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
+    grid = geometric_grid(1.0, horizon, 1.01)
     guard = 2.0 ** (1.0 / (1.0 - delta))
     # testable face of the hypothesis (log r)^(1+eps) log T(r) / r -> 0,
     # sampled wherever T(r) > e
@@ -369,17 +353,9 @@ def scan_windowed_shift(
     return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.log_measure < math.inf)
 
 
-def scan_fixed_shift(
-    T: GrowthFunction,
-    h: float,
-    K: float,
-    horizon: float,
-    *,
-    grid_ratio: float = 1.01,
-    r_min: float = 1.0,
-) -> ScanResult:
+def scan_fixed_shift(T: GrowthFunction, h: float, K: float, horizon: float) -> ScanResult:
     """Finite-order branch: T(r+h) <= T(r) + 4*h*K*T(r)/r with caller's K."""
-    grid = geometric_grid(max(1.0, r_min), horizon, grid_ratio)
+    grid = geometric_grid(1.0, horizon, 1.01)
 
     def check(r: float) -> ScanRow:
         log_lhs = T.log_value(r + h)
@@ -401,13 +377,7 @@ class CoveringBound(NamedTuple):
 
 
 def edrei_fuchs_bound(
-    psi: Callable[[float], float],
-    varphi: Callable[[float], float],
-    a: float,
-    A: float,
-    *,
-    grid_ratio: float = 1.005,
-    quad_rel_tol: float = 1e-6,
+    psi: Callable[[float], float], varphi: Callable[[float], float], a: float, A: float
 ) -> CoveringBound:
     """Measure {r in [a, A]: psi(r + varphi(psi(r))) >= psi(r) + 1} and bound
     it by the integral of varphi over [psi(a)-1, psi(A)].
@@ -417,7 +387,7 @@ def edrei_fuchs_bound(
     """
     if not a < A:
         raise ValueError("need a < A")
-    grid = geometric_grid(a, A, grid_ratio)
+    grid = geometric_grid(a, A, 1.005)
     psi_vals = [psi(r) for r in grid]
     for x, y in zip(psi_vals, psi_vals[1:]):
         if y < x - 1e-12 * max(1.0, abs(x)):
@@ -450,7 +420,7 @@ def edrei_fuchs_bound(
                     x1 = mid
             measured += (x0 - lo) if fl else (hi - x1)
         rows.append(ScanRow(lo, 1.0 if fl else 0.0, 1.0, True))
-    bound = _integrate(varphi, psi_vals[0] - 1.0, psi_vals[-1], quad_rel_tol)
+    bound = _integrate(varphi, psi_vals[0] - 1.0, psi_vals[-1], 1e-6)
     return CoveringBound(measured=measured, bound=bound, rows=tuple(rows))
 
 

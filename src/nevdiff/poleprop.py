@@ -71,37 +71,37 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = ()) -> PoleChain:
     )
 
 
-def counting_lower_bounds(ch: PoleChain, base_radius: float = 1.0) -> Tuple[float, ...]:
-    """Lower bounds for the integrated counting function at radius base+n.
+def counting_lower_bounds(ch: PoleChain) -> Tuple[float, ...]:
+    """Lower bounds for the integrated counting function at radius 1+n.
 
-    Uses n(t) >= bounds[m] for t >= base+m and integrates dt/t stepwise.
+    Uses n(t) >= bounds[m] for t >= 1+m and integrates dt/t stepwise.
     """
     out = [0.0]
     acc = 0.0
     for m in range(ch.steps):
-        step = math.log((base_radius + m + 1) / (base_radius + m))
+        step = math.log((1.0 + m + 1) / (1.0 + m))
         acc += float(ch.bounds[m]) * step
         out.append(acc)
     return tuple(out)
 
 
-def growth_lower_bound(ch: PoleChain, *, base_radius: float = 1.0) -> Tuple[float, float]:
-    """Fit (D, K) with the chain's counting bound >= K * D^(base+n) throughout.
+def growth_lower_bound(ch: PoleChain) -> Tuple[float, float]:
+    """Fit (D, K) with the chain's counting bound >= K * D^(1+n) throughout.
 
     D is the chain's step ratio; K is the largest constant the chain
     supports, so the returned pair re-checks against every chain point.
     """
     if ch.steps < 1:
-        n_low = counting_lower_bounds(ch, base_radius)
+        n_low = counting_lower_bounds(ch)
         d = float(STEP_RATIO)
-        k = n_low[-1] / d ** base_radius if n_low[-1] > 0 else 0.0
+        k = n_low[-1] / d ** 1.0 if n_low[-1] > 0 else 0.0
         return d, k
     d = float(ch.bounds[1] / ch.bounds[0]) if ch.bounds[0] else float(STEP_RATIO)
     if 1 in ch.skipped:
         d = float(STEP_RATIO)
-    n_low = counting_lower_bounds(ch, base_radius)
+    n_low = counting_lower_bounds(ch)
     k = min(
-        n_low[n] / d ** (base_radius + n) for n in range(1, ch.steps + 1)
+        n_low[n] / d ** (1.0 + n) for n in range(1, ch.steps + 1)
     )
     return d, k
 
@@ -123,9 +123,9 @@ def exclusion_flag(profile: DegreeProfile) -> bool:
     return profile.denominator_degree == 0 and profile.numerator_degree == 3
 
 
-def chain_report_rows(ch: PoleChain, base_radius: float = 1.0) -> Tuple[Tuple[int, str, int, float], ...]:
+def chain_report_rows(ch: PoleChain) -> Tuple[Tuple[int, str, int, float], ...]:
     """Rows (n, exact bound, ceiling, cumulative counting lower bound)."""
-    n_low = counting_lower_bounds(ch, base_radius)
+    n_low = counting_lower_bounds(ch)
     return tuple(
         (n, str(ch.bounds[n]), ch.ceilings[n], n_low[n]) for n in range(ch.steps + 1)
     )

@@ -1037,6 +1037,28 @@ def test_product_example_last_row_against_a_dense_oracle():
     assert abs(mean.value - oracle) <= mean.error
 
 
+@pytest.mark.parametrize("samples", [2, 6])
+def test_product_report_is_three_grid_calls_equal_to_its_one_radius_rows(
+    monkeypatch, samples
+):
+    model, _ = cf.build_example_product(2, 1)
+    calls = []
+    prefix = cf._means_prefix
+
+    def counting(model, radii, *args):
+        calls.append(len(radii))
+        return prefix(model, radii, *args)
+
+    monkeypatch.setattr(cf, "_means_prefix", counting)
+    rows = cf.example_product_report(model, 2, samples=samples)
+    assert calls == [samples] * 3
+    for row in rows:
+        t_base = cf.characteristic_T(model, row.r).T
+        t_shift = cf.characteristic_T(cf.Shifted(model, 3.0), row.r).T
+        m_quot = cf.log_diff_m(model, 3.0, row.r).value
+        assert (row.t_base, row.t_shifted, row.m_quotient) == (t_base, t_shift, m_quot)
+
+
 def test_product_report_separation_at_level_two():
     model, _ = cf.build_example_product(2, 1)
     rows = cf.example_product_report(model, 2)

@@ -294,6 +294,24 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "grid end 50 is below its start 100"),
         (["growth-scan", "--growth", "power:2", "--horizon", "0.5"],
          "grid end 0.5 is below its start 1"),
+        # the quadrature's own refusals: a product row, and the shift
+        # check's constant at r0 = 1 + 2|c| = 3, met before any row
+        (["product-example", "--levels", "3", "--tol-unit", "1e-300"],
+         "numerical: budget exhausted at r=31.5 (1983521 evaluations)"),
+        (["shift-check", "--model", "rational:{1}/{z-3}", "--c", "1", "--r-min", "3.5",
+          "--r-max", "10", "--tol-unit", "1e-300"], "numerical: too many panels at r=3\n"),
+        (["product-example", "--levels", "1", "--samples", "1"],
+         "samples must be at least 2, got 1"),
+        (["product-example", "--levels", "1", "--samples", "0"],
+         "samples must be at least 2, got 0"),
+        (["product-example", "--levels", "1", "--samples", "-3"],
+         "samples must be at least 2, got -3"),
+        (["growth-scan", "--growth", "power:nan"], "growth parameter must be finite, got nan"),
+        (["growth-scan", "--growth", "power:inf"], "growth parameter must be finite, got inf"),
+        (["growth-scan", "--growth", "power:1e400"],
+         "growth parameter must be finite, got inf"),
+        (["growth-scan", "--growth", "exproot:inf"],
+         "growth parameter must be finite, got inf"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -485,6 +503,14 @@ def test_report_written_to_file(tmp_path, capsys):
         (["shift-check", "--model", "rational:{1}/{z-1}", "--c", "1,i", "--r-min", "3",
           "--r-max", "40"],
          0, "fdf23973556e42f4886c052082a65e658517bbb192f6e5b38c162408cd09d4c8"),
+        # r0 = 1 + 2|c| = 3 lies on the pole, so the constant's radius is nudged
+        (["shift-check", "--model", "rational:{1}/{z-3}", "--c", "1", "--r-min", "3.5",
+          "--r-max", "10"],
+         0, "6ccb7392bd5aacf807a8bab05752c36687ded3263f8712babe6a67dca4e0481f"),
+        (["product-example", "--levels", "3"],
+         0, "c9d8d71775e6de72c9a4a62bdab0eba6a6792b9dc3537f304d45a285f8757101"),
+        (["product-example", "--levels", "1", "--samples", "4"],
+         0, "ef3743ac3c3fff7f36fe9a95a056b18e993c4ed458724ef7a4de904c6e1a3435"),
     ],
 )
 def test_report_bytes_pinned(capsys, argv, code, digest):

@@ -9,11 +9,11 @@ from nevdiff import growth as g
 
 def test_growth_functions_compare_by_type_and_arguments():
     assert g.PowerGrowth(2) == g.PowerGrowth(2.0) != g.PowerGrowth(3)
-    assert g.ExpRootGrowth(0.5) == g.ExpRootGrowth(0.5, 1.0) != g.ExpRootGrowth(0.5, 2.0)
+    assert g.ExpRootGrowth(0.5) == g.ExpRootGrowth(0.5) != g.ExpRootGrowth(0.25)
     assert g.PowerGrowth(2) != g.ExpRootGrowth(2) and g.PowerGrowth(2) != (2,)
     assert g.PureExpGrowth() == g.PureExpGrowth()
     assert hash(g.PowerGrowth(2)) == hash(g.PowerGrowth(2.0))
-    assert repr(g.ExpRootGrowth(0.5)) == "ExpRootGrowth(alpha=0.5, scale=1.0)"
+    assert repr(g.ExpRootGrowth(0.5)) == "ExpRootGrowth(alpha=0.5)"
 
 
 def test_phi_pure_exp_is_one():

@@ -75,7 +75,7 @@ def test_growth_lower_bound_holds_on_chain():
     d, k = growth_lower_bound(ch)
     assert d == pytest.approx(1.5)
     assert k > 0
-    lows = counting_lower_bounds(ch, 1.0)
+    lows = counting_lower_bounds(ch)
     for n in range(1, ch.steps + 1):
         assert lows[n] >= k * d ** (1.0 + n) - 1e-12
 

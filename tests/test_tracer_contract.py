@@ -3,8 +3,8 @@
 perfbench/tracing.py wraps nevdiff's functions by name.  A renamed one is
 reported as an absent layer, and a non-finite layer value makes the
 benchmark's last line invalid JSON; either breaks a traced benchmark run
-without failing a call.  This runs the seed-0 calls of the shift-product,
-logdiff-scan and classify-batch workloads traced.
+without failing a call.  This runs the seed-0 calls of every workload
+traced.
 """
 
 from __future__ import annotations
@@ -52,6 +52,13 @@ def _traced_table(name, tmp_path):
 def test_traced_shift_product_reports_every_layer(tmp_path):
     table, _ = _traced_table("shift-product", tmp_path)
     assert table["charfn.model.calls"] > 0 and table["charfn.model.points"] > 0
+
+
+def test_traced_product_window_does_the_same_quadrature_work(tmp_path):
+    table, _ = _traced_table("product-window", tmp_path)
+    # the model points of product-example --levels 3 and the product's
+    # log-difference scan, as when each product row was three one-radius calls
+    assert table["charfn.model.points"] == 40682
 
 
 def test_traced_classify_batch_reports_the_symbolic_layers(tmp_path):
