@@ -1,7 +1,3 @@
 """Degree calculus for shift-polynomial equations plus a numerical
 characteristic engine that checks the matching growth inequalities on
 concrete model functions."""
-
-__version__ = "0.1.0"
-
-from . import charfn, clunie, diffpoly, eqparse, growth, poleprop  # noqa: F401

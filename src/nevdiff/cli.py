@@ -204,8 +204,8 @@ def cmd_classify(cfg: RunConfig) -> int:
             )
             return REJECTED
         prof = clunie.degree_profile(eq)
-        adm = clunie.admissible(eq)
         v = clunie.profile_verdict(prof, benchmark=clunie.is_benchmark(eq.lhs))
+        adm = v.admissibility
         payload = clunie.report_dict(prof, v)
         payload["equation"] = to_canonical_text(eq)
         payload["coprimality"] = eq.coprimality.value
@@ -264,10 +264,7 @@ def cmd_enumerate(cfg: RunConfig, reduce_list: bool) -> int:
                 cfg,
             )
             return REJECTED
-        outcome = clunie.reduce_families(
-            families, clunie.GrowthAssumption.MINIMAL_HYPER_TYPE, p
-        )
-        families = outcome.kept
+        families = clunie.reduce_families(families, p).kept
     if cfg.fmt == "json":
         payload = [
             f._asdict() | {"equation": clunie.family_equation_text(f, p)}
@@ -334,6 +331,8 @@ def _growth_from_spec(text: str) -> growth.GrowthFunction:
     value = float(arg)
     if not abs(value) < float("inf"):  # nan too
         raise ValueError(f"growth parameter must be finite, got {value}")
+    if value <= 0:  # T(r) would not grow
+        raise ValueError(f"growth parameter must be positive, got {value:g}")
     return make(value)
 
 

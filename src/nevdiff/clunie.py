@@ -10,13 +10,12 @@ given left side, and applies the three growth-based exclusion rules that cut
 the benchmark list from 14 families to 9.
 
 Every quantity here is an exact integer or rational; conclusions are always
-modulo small-function error terms, under the slow-growth assumption carried
-as an explicit token (never evaluated).
+modulo small-function error terms.  The exclusion rules further assume that
+the solution has hyper-order at most one and minimal hyper-type.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -37,12 +36,6 @@ class HypothesesViolated(ClunieError):
 
 class WrongBenchmark(ClunieError):
     """The reduction rules apply only to the benchmark left side."""
-
-
-class GrowthAssumption(enum.Enum):
-    """Assumption token for the solution's growth; never evaluated."""
-
-    MINIMAL_HYPER_TYPE = "minimal-hyper-type"
 
 
 # Exclusion reason tags.
@@ -114,10 +107,11 @@ class AdmissibilityReport(NamedTuple):
 
 
 class Verdict(NamedTuple):
+    admissibility: AdmissibilityReport
     admissible: bool
-    pole_density_bound: Optional[Fraction]  # lower bound for N(r,w)/T(r,w)
-    zero_density_bound: Optional[Fraction]  # lower bound for N(r,1/w)/T(r,w)
-    forces_identity: bool  # N(r,w) = N(r,1/w) = T(r,w) up to small terms
+    pole_density_bound: Optional[Fraction] = None  # lower bound for N(r,w)/T(r,w)
+    zero_density_bound: Optional[Fraction] = None  # lower bound for N(r,1/w)/T(r,w)
+    forces_identity: bool = False  # N(r,w) = N(r,1/w) = T(r,w) up to small terms
     ruled_out: Optional[str] = None
 
 
@@ -209,8 +203,7 @@ def admissible(eq: ClunieEquation) -> AdmissibilityReport:
     violations = check_hypotheses(eq)
     if violations:
         raise HypothesesViolated(violations)
-    prof = degree_profile(eq)
-    return _admissibility(prof)
+    return _admissibility(degree_profile(eq))
 
 
 def _admissibility(prof: DegreeProfile) -> AdmissibilityReport:
@@ -233,38 +226,32 @@ def _admissibility(prof: DegreeProfile) -> AdmissibilityReport:
     )
 
 
+def _benchmark_rule(prof: DegreeProfile) -> Optional[str]:
+    """The exclusion rule, if any, that rules out an admissible equation with
+    the benchmark left side.  The plain cubic right side (deg U = 0) and the
+    denominator rewrite (deg U = 3) never both apply."""
+    if prof.denominator_degree == 0 and prof.numerator_degree == 3:
+        return CUBIC_RHS_GROWTH
+    if prof.denominator_degree == 3:
+        return DENOMINATOR_REWRITE
+    if prof.numerator_degree == 3 and prof.pole_margin > 0:
+        return CUBIC_NUMERATOR_PROXIMITY
+    return None
+
+
 def profile_verdict(prof: DegreeProfile, benchmark: bool = False) -> Verdict:
     report = _admissibility(prof)
     if not report.ok:
-        return Verdict(
-            admissible=False,
-            pole_density_bound=None,
-            zero_density_bound=None,
-            forces_identity=False,
-            ruled_out=DEGREE_BOUND,
-        )
-    pole = (
-        Fraction(prof.pole_margin, prof.lhs_weight) if prof.pole_margin > 0 else None
-    )
-    zero = (
-        Fraction(prof.zero_margin, prof.lhs_degree) if prof.zero_margin > 0 else None
-    )
-    ruled_out = None
-    if benchmark:
-        from .poleprop import exclusion_flag
-
-        if exclusion_flag(prof):
-            ruled_out = CUBIC_RHS_GROWTH
-        elif prof.denominator_degree == 3:
-            ruled_out = DENOMINATOR_REWRITE
-        elif prof.numerator_degree == 3 and prof.pole_margin > 0:
-            ruled_out = CUBIC_NUMERATOR_PROXIMITY
+        return Verdict(report, admissible=False, ruled_out=DEGREE_BOUND)
+    pole = Fraction(prof.pole_margin, prof.lhs_weight) if prof.pole_margin > 0 else None
+    zero = Fraction(prof.zero_margin, prof.lhs_degree) if prof.zero_margin > 0 else None
     return Verdict(
+        report,
         admissible=True,
         pole_density_bound=pole,
         zero_density_bound=zero,
         forces_identity=prof.lhs_weight == prof.pole_margin,
-        ruled_out=ruled_out,
+        ruled_out=_benchmark_rule(prof) if benchmark else None,
     )
 
 
@@ -360,11 +347,10 @@ def enumerate_families(p: DiffPolynomial) -> Tuple[FamilySpec, ...]:
 
 
 def reduce_families(
-    families: Sequence[FamilySpec],
-    growth_assumption: GrowthAssumption,
-    p: Optional[DiffPolynomial] = None,
+    families: Sequence[FamilySpec], p: Optional[DiffPolynomial] = None
 ) -> ReductionOutcome:
-    """Apply the three benchmark exclusion rules.
+    """Apply the three benchmark exclusion rules, for solutions of
+    hyper-order at most one and minimal hyper-type.
 
     Rule 1 removes denominator degree 3 (rewriting the left side as a product
     of two binomials overshoots the degree cap of that equation class); rule
@@ -375,45 +361,27 @@ def reduce_families(
     the pole-density conclusion).  All three are specific to the benchmark
     left side.
     """
-    if growth_assumption is not GrowthAssumption.MINIMAL_HYPER_TYPE:
-        raise ValueError("reduction needs the slow-growth assumption token")
     if p is not None and not is_benchmark(p):
-        raise WrongBenchmark(
-            "the exclusion rules apply only to the benchmark left side"
-        )
-    from .poleprop import exclusion_flag
-
+        raise WrongBenchmark("the exclusion rules apply only to the benchmark left side")
     kept: List[FamilySpec] = []
     removed: List[Tuple[FamilySpec, str]] = []
     truncated: List[Tuple[FamilySpec, FamilySpec]] = []
     for fam in families:
-        prof = _benchmark_profile(fam)
-        if fam.denominator_degree == 3:
-            removed.append((fam, DENOMINATOR_REWRITE))
+        rule = _benchmark_rule(_benchmark_profile(fam))
+        if rule in (DENOMINATOR_REWRITE, CUBIC_RHS_GROWTH):
+            removed.append((fam, rule))
             continue
-        if exclusion_flag(prof):
-            removed.append((fam, CUBIC_RHS_GROWTH))
-            continue
-        if fam.pole_margin > 0 and fam.numerator_degree_max == 3:
-            capped = FamilySpec(
-                case=fam.case,
-                ord0_min=fam.ord0_min,
-                ord0_max=min(fam.ord0_max, 2),
-                denominator_degree=fam.denominator_degree,
-                numerator_degree_min=min(fam.numerator_degree_min, 2),
+        if rule == CUBIC_NUMERATOR_PROXIMITY:
+            o_hi, q_lo = min(fam.ord0_max, 2), min(fam.numerator_degree_min, 2)
+            capped = fam._replace(
+                ord0_max=o_hi,
+                numerator_degree_min=q_lo,
                 numerator_degree_max=2,
-                pole_margin=fam.pole_margin,
                 side_conditions=_side_conditions(
-                    fam.ord0_min,
-                    min(fam.ord0_max, 2),
-                    fam.denominator_degree,
-                    min(fam.numerator_degree_min, 2),
-                    2,
-                ),
+                    fam.ord0_min, o_hi, fam.denominator_degree, q_lo, 2),
             )
             truncated.append((fam, capped))
-            kept.append(capped)
-            continue
+            fam = capped
         kept.append(fam)
     return ReductionOutcome(tuple(kept), tuple(removed), tuple(truncated))
 

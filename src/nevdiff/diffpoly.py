@@ -12,7 +12,7 @@ All values are immutable after `normalize`; every operation here is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .zfield import RZ_ONE, RatZ
 
@@ -37,14 +37,6 @@ class SymbolicDuplicate(DiffPolyError):
     def __init__(self, index: Tuple[int, ...]):
         super().__init__(f"two symbolic terms share multi-index {index}")
         self.index = index
-
-
-class SymbolicCoefficient(DiffPolyError):
-    """Numeric evaluation requested on a symbolic polynomial."""
-
-
-class PoleHit(DiffPolyError):
-    """The evaluation point meets a pole of w or of a coefficient."""
 
 
 class _ShiftFields(NamedTuple):
@@ -226,30 +218,3 @@ def is_homogeneous(p: DiffPolynomial) -> bool:
     _require_terms(p)
     degrees = {sum(idx) for _, idx in p.terms}
     return len(degrees) == 1
-
-
-def evaluate(p: DiffPolynomial, w: Callable[[complex], complex], z: complex) -> complex:
-    """Sum of coefficient(z) * prod_j w(z + c_j)^e_j over all terms."""
-    shift_values = [0j] + [s.value for s in p.shifts]
-    samples = []
-    for c in shift_values:
-        val = w(z + c)
-        if val != val or val in (complex("inf"), complex("-inf")) or (
-            isinstance(val, complex) and (abs(val.real) == float("inf") or abs(val.imag) == float("inf"))
-        ):
-            raise PoleHit(f"w has no finite value at {z + c}")
-        samples.append(val)
-    acc = 0j
-    for coeff, idx in p.terms:
-        if isinstance(coeff, SymbolicCoeff):
-            raise SymbolicCoefficient(f"cannot evaluate symbolic coefficient {coeff.name}")
-        try:
-            cval = coeff.evaluate(z)
-        except ZeroDivisionError as exc:
-            raise PoleHit(str(exc)) from exc
-        term = cval
-        for base, e in zip(samples, idx):
-            if e:
-                term *= base**e
-        acc += term
-    return acc

@@ -13,6 +13,8 @@ import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 E = math.e
+# the largest density of the exception set a certified scan may show
+MAX_EXCEPTION_DENSITY = 0.05
 
 
 class GrowthError(Exception):
@@ -316,7 +318,8 @@ def scan_additive_shift(T: GrowthFunction, delta: float, horizon: float) -> Scan
     # compare the window at the horizon against its value a quarter through
     quarter = window_at[len(grid) // 4]
     divergent = window_at[-1] >= 2.0 * quarter and window_at[-1] > 4.0
-    return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.lower_density <= 0.05)
+    return ScanResult(rows, es, rep, skipped, divergent,
+                      divergent and rep.lower_density <= MAX_EXCEPTION_DENSITY)
 
 
 def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: float) -> ScanResult:
@@ -363,7 +366,9 @@ def scan_fixed_shift(T: GrowthFunction, h: float, K: float, horizon: float) -> S
         return ScanRow(r, log_lhs, log_rhs, log_lhs <= log_rhs)
 
     rows, es, rep, skipped = _scan(grid, horizon, check)
-    return ScanResult(rows, es, rep, skipped, True, rep.log_measure < math.inf)
+    # finite logarithmic measure implies zero density, which is what a
+    # finite grid can show
+    return ScanResult(rows, es, rep, skipped, True, rep.upper_density <= MAX_EXCEPTION_DENSITY)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
-from .clunie import DegreeProfile, WrongBenchmark
-
 STEP_RATIO = Fraction(3, 2)  # the quadratic-vs-cubic propagation ratio
 # k0 * ratio^steps may not exceed this, which keeps every bound, its
 # counting sum and ratio^(1+n) in growth_lower_bound well inside the float
@@ -104,23 +102,6 @@ def growth_lower_bound(ch: PoleChain) -> Tuple[float, float]:
         n_low[n] / d ** (1.0 + n) for n in range(1, ch.steps + 1)
     )
     return d, k
-
-
-def exclusion_flag(profile: DegreeProfile) -> bool:
-    """True when the equation is a plain cubic in w on the right.
-
-    Only meaningful for the benchmark left side: there the chain argument
-    applies and forces at least K*(3/2)^r growth, incompatible with the
-    slow-growth assumption.
-    """
-    if (
-        profile.lhs_degree != 2
-        or profile.lhs_weight != 2
-        or profile.lhs_unshifted_degree != 1
-        or profile.lhs_valuation != 0
-    ):
-        raise WrongBenchmark("pole propagation applies only to the benchmark left side")
-    return profile.denominator_degree == 0 and profile.numerator_degree == 3
 
 
 def chain_report_rows(ch: PoleChain) -> Tuple[Tuple[int, str, int, float], ...]:

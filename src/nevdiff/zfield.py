@@ -4,8 +4,7 @@ A polynomial is a tuple of integer coefficients in ascending order of power,
 with no trailing zeros; the empty tuple is the zero polynomial.  A rational
 function is a reduced pair num/den of such tuples; `wpoly_gcd_degree` works
 on polynomials in w whose coefficients are such rational functions.
-Everything here is exact and integer-only (fraction-free): no floats enter
-until `RatZ.evaluate`.
+Everything here is exact and integer-only (fraction-free); no floats enter.
 """
 
 from __future__ import annotations
@@ -210,10 +209,18 @@ class RatZ(NamedTuple):
         return self.num == ZP_ONE and self.den == ZP_ONE
 
     def __add__(self, other: "RatZ") -> "RatZ":
-        return ratz(
-            zp_add(zp_mul(self.num, other.den), zp_mul(other.num, self.den)),
-            zp_mul(self.den, other.den),
-        )
+        # Henrici's sum: with g = gcd(d1, d2), the numerator
+        # t = n1*(d2/g) + n2*(d1/g) is coprime to d1/g and d2/g, so only
+        # gcd(t, g) is left to cancel
+        (n1, d1), (n2, d2) = self, other
+        g = zp_gcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else ZP_ONE
+        if len(g) > 1:
+            d1, d2 = zp_divexact(d1, g), zp_divexact(d2, g)
+        t = zp_add(zp_mul(n1, d2), zp_mul(n2, d1))
+        if not t:
+            return RZ_ZERO
+        t, g = _cancel(t, g)
+        return _primitive(t, zp_mul(zp_mul(d1, d2), g))
 
     def __neg__(self) -> "RatZ":
         return RatZ(zp_neg(self.num), self.den)
@@ -234,12 +241,6 @@ class RatZ(NamedTuple):
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return ratz(zp_mul(self.num, other.den), zp_mul(self.den, other.num))
-
-    def evaluate(self, z: complex) -> complex:
-        d = zp_eval(self.den, z)
-        if d == 0:
-            raise ZeroDivisionError("pole of coefficient")
-        return zp_eval(self.num, z) / d
 
     def text(self) -> str:
         if self.den == ZP_ONE:

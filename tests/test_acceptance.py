@@ -129,7 +129,7 @@ def test_acceptance_03_enumeration_and_reduction_golden():
     assert sorted(by_case["III"]) == [-2, -1, -1, 0, 1]
     assert len(by_case["I"]) == 4 and len(by_case["II"]) == 5 and len(by_case["III"]) == 5
     assert clunie.render_families(fams, p).encode() == (DATA / "families_14.txt").read_bytes()
-    out = clunie.reduce_families(fams, clunie.GrowthAssumption.MINIMAL_HYPER_TYPE, p)
+    out = clunie.reduce_families(fams, p)
     assert len(out.kept) == 9
     assert clunie.render_families(out.kept, p).encode() == (DATA / "families_9.txt").read_bytes()
     done(3, "14 families (4/5/5) and 9 reduced families, golden bytes equal", budget)

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from nevdiff.cli import _FIELD_TYPES, RunConfig, _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
-BENCH_EQ = "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1) = (a2*w^2+a1*w+a0)/(w^2+b1*w+b0)"
+BENCH_LHS = "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1)"
+BENCH_EQ = BENCH_LHS + " = (a2*w^2+a1*w+a0)/(w^2+b1*w+b0)"
 
 
 def run(capsys, *argv):
@@ -150,6 +152,16 @@ def test_no_dataclass_is_built_at_import():
     }
     assert "nevdiff.cli" in sys.modules
     assert found == DATACLASSES_ALLOWED
+
+
+def test_symbolic_modules_import_without_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import nevdiff.eqparse, nevdiff.clunie, nevdiff.poleprop, nevdiff.growth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_config_text_converts_to_each_field_type(tmp_path, capsys):
@@ -312,6 +324,12 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "growth parameter must be finite, got inf"),
         (["growth-scan", "--growth", "exproot:inf"],
          "growth parameter must be finite, got inf"),
+        # T(r) constant or decreasing: no growth to scan
+        (["growth-scan", "--growth", "power:0"], "growth parameter must be positive, got 0"),
+        (["growth-scan", "--growth", "power:-1"], "growth parameter must be positive, got -1"),
+        (["growth-scan", "--growth", "exproot:0"], "growth parameter must be positive, got 0"),
+        (["growth-scan", "--growth", "exproot:-1"],
+         "growth parameter must be positive, got -1"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -511,6 +529,41 @@ def test_report_written_to_file(tmp_path, capsys):
          0, "c9d8d71775e6de72c9a4a62bdab0eba6a6792b9dc3537f304d45a285f8757101"),
         (["product-example", "--levels", "1", "--samples", "4"],
          0, "ef3743ac3c3fff7f36fe9a95a056b18e993c4ed458724ef7a4de904c6e1a3435"),
+        # the benchmark's exclusion rules: cubic right side, denominator
+        # rewrite, cubic numerator, no rule, and two degree-bound rejections
+        (["classify", "--eq", BENCH_LHS + " = a3*w^3+a0"],
+         0, "151c62fc87a46fca7ca447ba023d8cb7856cd01145c962a201d2b5401dd290dc"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = a3*w^3+a0"],
+         0, "fdb923ec2d47f44c665d6618105e914cb535483c7eb63d6f389838318b7895ac"),
+        (["classify", "--eq", BENCH_LHS + " = (a3*w^3+a1*w)/(w^3+b0)"],
+         0, "e5a7feb2503f83bb6a1cbc30dd46b64b7a78a4e311bda7899f597856c05acb28"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = (a3*w^3+a1*w)/(w^3+b0)"],
+         0, "49a0390513baaf6209cf74ede16a2727de759226f3c0a7435174f4ce88592bc0"),
+        (["classify", "--eq", BENCH_LHS + " = (a3*w^3+a0)/(w+b0)"],
+         0, "99d92ed9e3a93baa43a3e8ff7f5a3674db16bbbad45eb51b842b24557f457ee9"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = (a3*w^3+a0)/(w+b0)"],
+         0, "09654f9cbdcecc324240d3330d73304b88d9ad8d4f93ad2dd0d985c8948d1632"),
+        (["classify", "--eq", BENCH_LHS + " = (a2*w^2+a0)/(w+b0)"],
+         0, "00879d0f7c98525d4447ef56d46d8fbb7c9528e99c9945b70a127f97f292f0bc"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = (a2*w^2+a0)/(w+b0)"],
+         0, "c039e65dffc9a2d2ced60624664371116bface426a9d6b89a22d3a9de6027247"),
+        (["classify", "--eq", BENCH_LHS + " = (a3*w^3+a0)/(w^3+b0)"],
+         2, "d5acfbe1bbdb14444afd92e695ed7249615c0c2650d4fbb7e10ea3c8b52da225"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = (a3*w^3+a0)/(w^3+b0)"],
+         2, "3621d44bfaa0ad6d7b71bea8eefe9535db9f39bdddad96f186e6342457cfb427"),
+        (["classify", "--eq", BENCH_LHS + " = a4*w^4+a0"],
+         2, "10bc3540c25ffe031a4fdbbefa7e2cca5efbd451204301b2d2dc91a2d70da692"),
+        (["classify", "--json", "--eq", BENCH_LHS + " = a4*w^4+a0"],
+         2, "2203debb82d8f023fc5812a11f9750e56c0bfa758f7efa25e37dc7143a4d4dd6"),
+        # reduction refused off the benchmark
+        (["reduce", "--poly", "w(z+1)*w(z-1)"],
+         2, "092564795ba234f255df83599760a7957110148c459fcb8b3c543255fd998d3b"),
+        # failure sets of upper density 0.99 and 0.9999: not certified
+        (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--h", "1", "--K", "0",
+          "--horizon", "100"],
+         2, "e7febf72a0b6d5e178d94e9fce133c36fa828e93b5259cd05ca7f661a4eed9e5"),
+        (["growth-scan", "--growth", "exproot:2", "--variant", "fixed"],
+         2, "e25bad2a6009ee56f0a4ec98a685d4d5490cf94f3d1c1ba20c95853bcdcb6cde"),
     ],
 )
 def test_report_bytes_pinned(capsys, argv, code, digest):

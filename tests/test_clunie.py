@@ -9,9 +9,9 @@ from nevdiff import clunie
 from nevdiff import diffpoly as dp
 from nevdiff.clunie import (
     DegreeProfile,
-    GrowthAssumption,
     HypothesesViolated,
     WrongBenchmark,
+    admissible,
     benchmark_lhs,
     degree_profile,
     enumerate_families,
@@ -25,6 +25,10 @@ from nevdiff.eqparse import parse_equation, parse_polynomial
 DATA = Path(__file__).parent / "data"
 
 BENCH = "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1)"
+
+
+def bench_profile(deg_u, deg_q, ord0):
+    return DegreeProfile.from_counts(2, 2, 2, 1, 0, deg_u, deg_q, ord0)
 
 
 def bench_eq(rhs: str) -> str:
@@ -179,6 +183,25 @@ def test_verdict_rules_out_when_inadmissible():
     assert v.ruled_out == "degree-bound"
 
 
+def test_benchmark_rules_on_profiles():
+    def ruled_out(deg_u, deg_q, ord0):
+        return profile_verdict(bench_profile(deg_u, deg_q, ord0), benchmark=True).ruled_out
+
+    assert ruled_out(0, 3, 0) == clunie.CUBIC_RHS_GROWTH
+    assert ruled_out(0, 2, 0) is None
+    assert ruled_out(1, 3, 0) == clunie.CUBIC_NUMERATOR_PROXIMITY
+    assert ruled_out(3, 3, 1) == clunie.DENOMINATOR_REWRITE
+    assert profile_verdict(bench_profile(0, 3, 0)).ruled_out is None
+
+
+def test_verdict_carries_the_admissibility_report():
+    for rhs in ("a3*w^3+a0", "a4*w^4+a0", "(a2*w^2+a1*w+a0)/(w^2+b1*w+b0)"):
+        eq = parse_equation(bench_eq(rhs))
+        v = profile_verdict(degree_profile(eq), benchmark=True)
+        assert v.admissibility == admissible(eq)
+        assert v.admissible == v.admissibility.ok
+
+
 def test_identity_closed_form_matches_margin_scan():
     # exhaustive over all benchmark triples: the closed-form identity
     # condition agrees with pole_margin == weight
@@ -260,7 +283,7 @@ def test_enumeration_golden_file():
 
 def test_reduction_golden_file():
     p = benchmark_lhs()
-    out = reduce_families(enumerate_families(p), GrowthAssumption.MINIMAL_HYPER_TYPE, p)
+    out = reduce_families(enumerate_families(p), p)
     assert len(out.kept) == 9
     text = render_families(out.kept, p)
     assert text.encode() == (DATA / "families_9.txt").read_bytes()
@@ -268,7 +291,7 @@ def test_reduction_golden_file():
 
 def test_reduction_removals():
     p = benchmark_lhs()
-    out = reduce_families(enumerate_families(p), GrowthAssumption.MINIMAL_HYPER_TYPE, p)
+    out = reduce_families(enumerate_families(p), p)
     reasons = {}
     for fam, why in out.removed:
         reasons.setdefault(why, []).append((fam.denominator_degree, fam.numerator_degree_max))
@@ -286,7 +309,7 @@ def test_reduction_refused_off_benchmark():
     p = parse_polynomial("w(z+1)*w(z-1)")
     fams = enumerate_families(p)
     with pytest.raises(WrongBenchmark):
-        reduce_families(fams, GrowthAssumption.MINIMAL_HYPER_TYPE, p)
+        reduce_families(fams, p)
 
 
 def test_family_equations_classify_back():

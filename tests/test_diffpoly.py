@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +8,9 @@ from nevdiff import diffpoly as dp
 from nevdiff.diffpoly import (
     BadIndex,
     EmptyPolynomial,
-    PoleHit,
     Shift,
     SymbolicCoeff,
     SymbolicDuplicate,
-    SymbolicCoefficient,
     normalize,
     shift,
 )
@@ -128,66 +124,6 @@ def test_homogeneity():
     assert dp.is_homogeneous(parse_polynomial(BENCH))
     assert not dp.is_homogeneous(parse_polynomial("w(z+1)+w^2"))
     assert dp.is_homogeneous(parse_polynomial("w(z+1)*w^3"))
-
-
-def test_evaluate_identity_function():
-    p = parse_polynomial("w(z+1)*w(z-1)")
-    assert dp.evaluate(p, lambda z: z, 0j) == pytest.approx(-1.0)
-
-
-def test_evaluate_square():
-    p = parse_polynomial("w")
-    assert dp.evaluate(p, lambda z: z * z, 3 + 0j) == pytest.approx(9.0)
-
-
-def test_evaluate_exponential():
-    p = parse_polynomial(BENCH)
-    val = dp.evaluate(p, lambda z: complex(math.e) ** z, 0j)
-    assert val.real == pytest.approx(1 + math.e + 1 / math.e)
-
-
-def test_evaluate_symbolic_rejected():
-    p = parse_polynomial("a*w")
-    with pytest.raises(SymbolicCoefficient):
-        dp.evaluate(p, lambda z: z, 1j)
-
-
-def test_evaluate_pole_hit():
-    p = parse_polynomial("{1/z}*w" if False else "{(1)/(z)}*w")
-    with pytest.raises(PoleHit):
-        dp.evaluate(p, lambda z: z, 0j)
-
-
-def test_evaluate_against_term_oracle():
-    # independent term-by-term oracle on random numeric instances
-    rng = random.Random(1234)
-    for _ in range(100):
-        n_shifts = rng.randint(1, 2)
-        shifts = tuple(
-            shift(rng.randint(1, 3) * (1 if k == 0 else -1), rng.randint(0, 1), k + 1)
-            for k in range(n_shifts)
-        )
-        width = n_shifts + 1
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            coeff = ratz((rng.randint(-5, 5), rng.randint(-2, 2)), (rng.randint(1, 3),))
-            idx = tuple(rng.randint(0, 2) for _ in range(width))
-            terms.append((coeff, idx))
-        p = normalize(shifts, terms)
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-        def w(v):
-            return v * v + 1.5
-
-        expected = 0j
-        for coeff, idx in p.terms:
-            t = coeff.evaluate(z)
-            for slot, e in enumerate(idx):
-                base = z if slot == 0 else z + shifts[slot - 1].value
-                t *= w(base) ** e
-            expected += t
-        got = dp.evaluate(p, w, z)
-        assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 # -- invariants ------------------------------------------------------------

@@ -204,6 +204,17 @@ def test_product_of_high_degree_coefficients_reduces_fast():
     assert coeff == RatZ(*_expanded(((1, 1), (2, 1)), ((-1, 1), (3, 1)), 64))
 
 
+def test_power_of_a_sum_over_shared_denominators_reduces_fast():
+    # each sum in the group's expansion is taken over the gcd of its
+    # operands' denominators, not over their product
+    t0 = time.perf_counter()
+    eq = parse_equation("w(z+1)*w = ({1/(z-1)}+{1/(z-2)}+{1/(z-3)})^40*w^2")
+    assert time.perf_counter() - t0 < 1.0
+    (coeff, _), = eq.numerator.terms
+    # the sum is (3z^2-12z+11)/((z-1)(z-2)(z-3))
+    assert coeff == RatZ(*_expanded(((11, -12, 3),), ((-1, 1), (-2, 1), (-3, 1)), 40))
+
+
 def _expanded(num_factors, den_factors, power):
     """The product of the factors' powers, as (num, den) of a RatZ."""
     def product(factors):

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nevdiff.clunie import DegreeProfile, WrongBenchmark
 from nevdiff.poleprop import (
     Overflow,
     chain,
     chain_report_rows,
     counting_lower_bounds,
-    exclusion_flag,
     growth_lower_bound,
 )
-
-
-def bench_profile(deg_u, deg_q, ord0):
-    return DegreeProfile.from_counts(2, 2, 2, 1, 0, deg_u, deg_q, ord0)
 
 
 def test_exact_rational_bounds():
@@ -90,18 +84,6 @@ def test_growth_single_point():
     d, k = growth_lower_bound(chain(1, 0))
     assert d == pytest.approx(1.5)
     assert k == 0.0
-
-
-def test_exclusion_flag_cases():
-    assert exclusion_flag(bench_profile(0, 3, 0))
-    assert not exclusion_flag(bench_profile(0, 2, 0))
-    assert not exclusion_flag(bench_profile(1, 3, 0))
-
-
-def test_exclusion_flag_wrong_benchmark():
-    off = DegreeProfile.from_counts(3, 3, 3, 1, 0, 0, 3, 0)
-    with pytest.raises(WrongBenchmark):
-        exclusion_flag(off)
 
 
 def test_report_rows_shape():

@@ -125,13 +125,12 @@ def test_ratz_arithmetic():
     assert half * third == ratz((1,), (6,))
     assert (half - half) == RZ_ZERO
     assert (half / half) == RZ_ONE
-
-
-def test_ratz_evaluate():
-    r = ratz((1, 0, 1), (-2, 1))  # (z^2+1)/(z-2)
-    assert r.evaluate(3.0) == pytest.approx(10.0)
-    with pytest.raises(ZeroDivisionError):
-        r.evaluate(2.0)
+    # 1/(z(z-1)) + 1/(z(z+1)) = 2z/(z(z^2-1)): the sum shares z with the
+    # gcd of the denominators
+    a = ratz((1,), zp_mul((0, 1), (-1, 1)))
+    b = ratz((1,), zp_mul((0, 1), (1, 1)))
+    assert a + b == ratz((2,), (-1, 0, 1))
+    assert a - a == RZ_ZERO
 
 
 def test_zp_text_shapes():
@@ -213,6 +212,16 @@ def test_ratz_product_cancels_crosswise(f, n1, d1, n2, d2, g):
     b = ratz(zp_mul(n2, g), zp_mul(d2, f) or d2) if zp_mul(n2, g) else RZ_ZERO
     assert a * b == ratz(zp_mul(a.num, b.num), zp_mul(a.den, b.den))
     assert b * a == a * b
+
+
+@given(zpolys, nonzero_zpolys, zpolys, nonzero_zpolys, nonzero_zpolys)
+def test_ratz_sum_over_the_gcd_of_the_denominators(n1, d1, n2, d2, g):
+    # g is planted in both denominators
+    a = ratz(n1, zp_mul(d1, g))
+    b = ratz(n2, zp_mul(d2, g))
+    expected = ratz(zp_add(zp_mul(a.num, b.den), zp_mul(b.num, a.den)), zp_mul(a.den, b.den))
+    assert a + b == expected
+    assert b + a == expected
 
 
 def _ratfuns():
