@@ -177,6 +177,18 @@ class MeromorphicModel(Model):
             points.extend((abs(q), math.atan2(q.imag, q.real)) for q in qs if q != 0)
         return points, crossing
 
+    def seeded_radii(self, radii: Sequence[float]) -> List[int]:
+        """The indices of the radii whose `seed_angles` may be non-empty,
+        from one search of the sorted point magnitudes (a little wider than
+        10%): every radius when a larger shifted ring crosses circles."""
+        points, crossing = self._seed_parts
+        if crossing:
+            return list(range(len(radii)))
+        mags = np.sort([q_abs for q_abs, _ in points])
+        rb = np.array(radii, dtype=float)
+        near = mags.searchsorted(1.11 * rb, "right") > mags.searchsorted(0.89 * rb)
+        return np.flatnonzero(near).tolist()
+
     def seed_angles(self, r: float) -> List[float]:
         """Angles where the integrand may have structure near circle r: the
         divisor points within 10% of r, those of rings of at most 256 points
@@ -204,8 +216,10 @@ def _poly_floats(coeffs: Sequence[Fraction]) -> np.ndarray:
 
 
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
+    """Horner from the leading coefficient: for finite z, c * z is bit for
+    bit (0 * z + c) * z, so this is the loop started from zero."""
+    acc = coeffs[-1] * z + coeffs[-2] if len(coeffs) > 1 else 0.0 * z + coeffs[0]
+    for c in coeffs[-3::-1]:
         acc = acc * z + c
     return acc
 
@@ -260,7 +274,9 @@ class RationalFn(MeromorphicModel):
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         num, den = self._floats
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(_polyval(num, z))) - np.log(np.abs(_polyval(den, z)))
+            out = np.log(np.abs(_polyval(num, z)))
+            # log|1| = 0, and x - 0.0 is x
+            return out if self.den == (1,) else out - np.log(np.abs(_polyval(den, z)))
 
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         return [(z - offset, m) for z, m in self._roots[_KINDS.index(kind)]], ()
@@ -518,10 +534,11 @@ def _means_prefix(
     max_panels: int = 400_000,
 ) -> MeansPrefix:
     base = _BASE if base_panels == len(_BASE[0]) else _initial_panels([], base_panels)
-    panels = []
-    for r in radii:
-        seeds = model.seed_angles(r)
-        panels.append(_initial_panels(seeds, base_panels) if seeds else base)
+    panels = [base] * len(radii)
+    for j in model.seeded_radii(radii):
+        seeds = model.seed_angles(radii[j])
+        if seeds:
+            panels[j] = _initial_panels(seeds, base_panels)
     # the points each circle evaluates before its first refinement round
     points_at = [len(_PROBE) + (0 if p is _BASE else 3 * len(p[0])) for p in panels]
     means: List[CircleMean] = []
@@ -602,13 +619,13 @@ def _block_means(
 
     The probe rows are evaluated _CHUNK_ROWS circles per model call, and each
     seeded circle's panel ends and midpoints with the last chunk.  A circle
-    whose panels are `_BASE` runs its first round densely on its probe row;
-    only its rejected panels, already split, join the frontier of (circle
-    `rid`, panel) pairs, where every panel still needs its quarter points.
-    A failing circle drops itself and
-    every later circle before the next Simpson arithmetic; an earlier one
-    that fails later in the refinement still takes precedence, as it would
-    in a scan in order.
+    whose panels are `_BASE` runs its first round densely on its probe row:
+    a row with every panel accepted is summed as it stands, and the rejected
+    panels of the others, already split, join the frontier of (circle `rid`,
+    panel) pairs, where every panel still needs its quarter points.  A
+    failing circle drops itself and every later circle before the next
+    Simpson arithmetic; an earlier one that fails later in the refinement
+    still takes precedence, as it would in a scan in order.
     """
     nb = len(radii)
     rb = np.array(radii, dtype=float)
@@ -654,15 +671,20 @@ def _block_means(
     tol = tol_unit * scale * TWO_PI
     over_budget(np.ones(nb, dtype=bool))
 
+    sums, err_sums = np.zeros(nb), np.zeros(nb)  # of each circle's accepted panels
     accepted = [(rid[:0], a[:0], a[:0])]  # (circle, value, error) per panel
     # the probed circles before the first failure: their first round reads
     # f0, fl, f1, fr, f2 of every base panel as strided views of the probe
     rows = np.flatnonzero(probed[: min(failures, default=nb)])
     if len(rows):
-        grid = g[rows]
+        grid = g if len(rows) == nb else g[rows]
         f = [grid[:, k:-1:4] for k in range(4)] + [grid[:, 4::4]]
         s, err, ok = _simpson(_BASE[1], tol[rows, None], *f)
-        accepted.append((np.repeat(rows, ok.sum(axis=1)), s[ok], err[ok]))
+        whole = ok.all(axis=1)
+        sums[rows[whole]] = list(map(math.fsum, s[whole].tolist()))
+        err_sums[rows[whole]] = list(map(math.fsum, err[whole].tolist()))
+        part = ok & ~whole[:, None]
+        accepted.append((np.repeat(rows, part.sum(axis=1)), s[part], err[part]))
         row, col = np.nonzero(~ok)
         split = _halves(_BASE[0][col], _BASE[1][col], rows[row], *(fk[row, col] for fk in f))
         over_cap(split[2])
@@ -689,20 +711,23 @@ def _block_means(
         over_cap(rid)
 
     done = min(failures, default=nb)
-    # each circle's accepted panels, gathered by one stable sort; fsum is
-    # exactly rounded, so their order does not matter
+    # the other circles' accepted panels, gathered by one stable sort; fsum
+    # is exactly rounded, so their order does not matter
     acc, values, errors = (np.concatenate(parts) for parts in zip(*accepted))
     order = np.argsort(acc, kind="stable")
-    ends = np.cumsum(np.bincount(acc, minlength=nb)).tolist()
+    counts = np.bincount(acc, minlength=nb)
+    ends = np.cumsum(counts).tolist()
     values, errors = values[order].tolist(), errors[order].tolist()
-    scales, counts = scale.tolist(), evals.tolist()
-    means = []
-    for j in range(done):
+    for j in np.flatnonzero(counts[:done]).tolist():
         lo, hi = ends[j - 1] if j else 0, ends[j]
-        value = math.fsum(values[lo:hi]) / TWO_PI
-        error = (math.fsum(errors[lo:hi]) + 1e-16 * scales[j]) / TWO_PI
-        error += model.band_error(radii[j]) / TWO_PI
-        means.append(CircleMean(value=value, error=error, radius=radii[j], evaluations=counts[j]))
+        sums[j], err_sums[j] = math.fsum(values[lo:hi]), math.fsum(errors[lo:hi])
+    value = sums[:done] / TWO_PI
+    error = (err_sums[:done] + 1e-16 * scale[:done]) / TWO_PI
+    if model._averaged:
+        error += np.array([model.band_error(r) for r in radii[:done]]) / TWO_PI
+    means = list(map(CircleMean._make, zip(
+        value.tolist(), error.tolist(), radii[:done], evals[:done].tolist()
+    )))
     return means, failures.get(done)
 
 

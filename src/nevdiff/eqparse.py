@@ -20,11 +20,11 @@ import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from . import diffpoly
 from .diffpoly import (
     DiffPolynomial,
     Shift,
     SymbolicCoeff,
-    SymbolicDuplicate,
     constant_poly,
     normalize,
     shift_key,
@@ -76,6 +76,11 @@ class DegenerateEquation(ParseError):
 
 class DuplicateSymbolName(ParseError):
     """A symbolic coefficient name is used more than once."""
+
+
+class SymbolicDuplicate(ParseError, diffpoly.SymbolicDuplicate):
+    """Two symbolic terms share a multi-index, named in the order the shifts
+    appear in the text."""
 
 
 class CommonFactor(Exception):
@@ -597,7 +602,7 @@ def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolyn
         terms.append((coeff, tuple(idx)))
     try:
         return normalize(shifts, terms)
-    except SymbolicDuplicate as exc:
+    except diffpoly.SymbolicDuplicate as exc:
         # name the multi-index in the order the shifts appear in the text
         raise SymbolicDuplicate(tuple(exc.index[slot] for slot in slots)) from None
 

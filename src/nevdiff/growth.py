@@ -353,7 +353,9 @@ def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: fl
 
     rows, es, rep, skipped = _scan(grid, horizon, check)
     divergent = decays(pressures)
-    return ScanResult(rows, es, rep, skipped, divergent, divergent and rep.log_measure < math.inf)
+    # a grid on which every radius was skipped tested nothing
+    certified = divergent and bool(rows) and rep.log_measure < math.inf
+    return ScanResult(rows, es, rep, skipped, divergent, certified)
 
 
 def scan_fixed_shift(T: GrowthFunction, h: float, K: float, horizon: float) -> ScanResult:

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevdiff import charfn as cf
 from nevdiff.zfield import zp_add, zp_mul
@@ -653,6 +655,82 @@ def test_circle_mean_pinned_bits(model, r, base_panels, seeded, value, error, ev
     assert mean.value.hex() == value
     assert mean.error.hex() == error
     assert mean.evaluations == evaluations
+
+
+def test_block_of_whole_refined_and_seeded_circles_matches_each_alone(monkeypatch):
+    radii = _grid(6.0, 20.0, 24)
+    blocks = []
+    block_means = cf._block_means
+
+    def counting(*args, **kwargs):
+        blocks.append(len(args[1]))
+        return block_means(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "_block_means", counting)
+    block = cf.circle_means(SMALL_RING, radii, tol_unit=1e-8)
+    assert blocks == [len(radii)]
+    # rows summed whole, rows that refine, and circles with seed angles
+    kinds = {
+        "seeded" if SMALL_RING.seed_angles(m.radius) else
+        "whole" if m.evaluations == len(cf._PROBE) else "refined"
+        for m in block
+    }
+    assert kinds == {"seeded", "whole", "refined"}
+    assert block == [cf.circle_means(SMALL_RING, [r], tol_unit=1e-8)[0] for r in radii]
+
+
+@pytest.mark.parametrize(
+    "model, radii", BLOCK_CASES, ids=[model.label[:30] for model, _ in BLOCK_CASES]
+)
+def test_seed_search_picks_every_seeded_radius(model, radii):
+    # and the radii at the edges of the 10% window of every seed point
+    edges = [q / k for q, _ in model._seed_parts[0] for k in (0.9, 1.1)]
+    radii = radii + edges + [math.nextafter(r, d) for r in edges for d in (0.0, math.inf)]
+    seeded = {j for j, r in enumerate(radii) if model.seed_angles(r)}
+    assert seeded <= set(model.seeded_radii(radii))
+
+
+def test_scan_far_from_the_divisor_asks_for_no_seeds_or_bars(monkeypatch):
+    calls = {"seed_angles": 0, "band_error": 0}
+    for name in calls:
+        method = getattr(cf.MeromorphicModel, name)
+
+        def counting(self, r, name=name, method=method):
+            calls[name] += 1
+            return method(self, r)
+
+        monkeypatch.setattr(cf.MeromorphicModel, name, counting)
+    grid = cf.geometric_grid(10.0, 1e6, 1.01)
+    for model in (SQUARE_LESS_TWO, cf.Quotient(cf.Shifted(SQUARE_LESS_TWO, 1.0), SQUARE_LESS_TWO)):
+        assert len(cf.circle_means(model, grid, tol_unit=1e-8)) == len(grid)
+    assert calls == {"seed_angles": 0, "band_error": 0}
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(
+    st.lists(_finite, min_size=1, max_size=5),
+    st.lists(st.builds(complex, _finite, _finite), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_polyval_from_the_leading_coefficient_is_the_zero_start_horner(coeffs, points):
+    coeffs, z = np.array(coeffs), np.array(points)
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    with np.errstate(all="ignore"):
+        got = cf._polyval(coeffs, z)
+    assert got.tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("model", [Z_POLY, SQUARE_LESS_TWO, QUADRATIC, NEAR_POLES])
+def test_rational_log_abs_is_the_two_polyval_path(model):
+    z = np.concatenate([[0j, 2**0.5, -(2**0.5)], cf._UNIT * 3.0, cf._UNIT * 1e5])
+    num, den = model._floats
+    with np.errstate(divide="ignore"):
+        want = np.log(np.abs(cf._polyval(num, z))) - np.log(np.abs(cf._polyval(den, z)))
+        assert model.log_abs(z).tobytes() == want.tobytes()
 
 
 def test_unseeded_circle_accepted_in_first_round_evaluates_only_the_probe():

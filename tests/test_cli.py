@@ -572,6 +572,21 @@ def test_report_bytes_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("growth, rows, certified, code", [
+    ("power:3", 332, True, 0),
+    # every grid radius fails the window guard, so nothing was tested
+    ("power:20", 0, False, 2),
+    ("power:100", 0, False, 2),
+])
+def test_logmeasure_scan_certifies_only_tested_rows(capsys, growth, rows, certified, code):
+    got, out, err = run(capsys, "growth-scan", "--growth", growth, "--variant", "logmeasure")
+    assert (got, err) == (code, "")
+    lines = out.splitlines()
+    assert lines[0] == "r,lhs,rhs,pass" and len(lines) == rows + 2
+    summary = json.loads(lines[-1])
+    assert summary["certified"] is certified and summary["skipped"] == 927 - rows
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nevdiff import diffpoly as dp
@@ -166,12 +166,22 @@ def test_parse_total_on_fuzz(text):
 
 
 @given(st.text(alphabet="wz()+-*/^{}=!0123456789.abi ", max_size=40))
+@example("b=a0-a")
 @settings(max_examples=400)
 def test_parse_total_on_grammar_alphabet(text):
     try:
         parse_equation(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("text", ["b=a0-a", "w=a0-a"])
+def test_symbolic_duplicate_is_a_parse_error(text):
+    # two symbolic terms on w^0 once the right side moves over; the error is
+    # still a diffpoly.SymbolicDuplicate for callers that catch that
+    with pytest.raises(ParseError, match=r"^two symbolic terms share multi-index \(0,\)$") as err:
+        parse_equation(text)
+    assert isinstance(err.value, dp.SymbolicDuplicate)
 
 
 # Characters that str.isdigit() accepts but int() and Fraction() do not: the

@@ -70,7 +70,10 @@ def test_traced_classify_batch_reports_the_symbolic_layers(tmp_path):
 
 def test_traced_logdiff_scan_reports_the_growth_layer(tmp_path):
     table, spans = _traced_table("logdiff-scan", tmp_path)
-    assert table["growth.self_s"] > 0 and table["charfn.model.points"] > 0
+    assert table["growth.self_s"] > 0
+    # the model work of the two scans' circle means
+    assert table["charfn.model.calls"] == 692
+    assert table["charfn.model.points"] == 1841706
     # each scan builds its exception set and densities through the names
     # charfn imports from growth, which the growth layer wraps
     assert spans.count("charfn.exception_set_from_grid") == 2
