@@ -97,35 +97,42 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-# the type that a field's text from a config line converts to; other fields are strings
-_FIELD_TYPES = {
-    **dict.fromkeys(("r_min", "r_max", "ratio", "delta", "eps", "horizon", "h", "big_k",
-                     "min_separation", "max_smallness", "max_log_measure", "tol_unit"), float),
-    **dict.fromkeys(("levels", "n1", "samples", "k0", "steps"), int),
-    "dry_run": bool,
-}
+# a field's type is its default's, a string where that is None but for the
+# two thresholds; flags and config lines convert through this one map
+_TYPES = {name: type(default) for name, default in RunConfig._field_defaults.items()
+          if default is not None} | dict.fromkeys(("min_separation", "max_smallness"), float)
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(name: str, value: str):
-    target = _FIELD_TYPES.get(name)
-    if target is bool:
+    """A config line's text as its field's type, refused in argparse's words."""
+    kind = _TYPES.get(name, str)
+    if kind is bool:
         if value.lower() not in _BOOLS:
             raise ValueError(f"{name} must be one of {', '.join(_BOOLS)}, got {value!r}")
         return _BOOLS[value.lower()]
-    return value if target is None else target(value)
+    choices = _CHOICES.get(name, (value,))
+    if value not in choices:
+        raise ValueError(f"{name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return _convert(kind, value, name)
+
+
+def _convert(kind: type, text: str, what: str):
+    """`kind(text)`, refused in argparse's words with `what` named."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{what}: invalid {kind.__name__} value: {text!r}") from None
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    layers = [{}]
-    if getattr(args, "config", None):
-        layers.append(_read_config_file(args.config))
-    flag_layer = {
+    layers = [_read_config_file(args.config)] if args.config else []
+    layers.append({
         k: v
         for k, v in vars(args).items()
         if k not in ("subcommand", "config") and v is not None
-    }
-    layers.append(flag_layer)
+    })
     merged = {}
     for layer in layers:
         for key, value in layer.items():
@@ -253,10 +260,10 @@ def cmd_classify(cfg: RunConfig) -> int:
     return worst
 
 
-def cmd_enumerate(cfg: RunConfig, reduce_list: bool) -> int:
+def cmd_enumerate(cfg: RunConfig) -> int:
     p = parse_polynomial(cfg.poly) if cfg.poly else clunie.benchmark_lhs()
     families = clunie.enumerate_families(p)
-    if reduce_list:
+    if cfg.subcommand == "reduce":
         if not clunie.is_benchmark(p):
             _emit(
                 "reduction refused: the exclusion rules apply only to the "
@@ -328,7 +335,7 @@ def _growth_from_spec(text: str) -> growth.GrowthFunction:
     make = {"power": growth.PowerGrowth, "exproot": growth.ExpRootGrowth}.get(head)
     if make is None:
         raise ValueError(f"unknown growth spec {text!r}")
-    value = float(arg)
+    value = _convert(float, arg, f"growth spec {text!r}")
     if not abs(value) < float("inf"):  # nan too
         raise ValueError(f"growth parameter must be finite, got {value}")
     if value <= 0:  # T(r) would not grow
@@ -342,10 +349,8 @@ def cmd_growth_scan(cfg: RunConfig) -> int:
         res = growth.scan_additive_shift(T, cfg.delta, cfg.horizon)
     elif cfg.variant == "logmeasure":
         res = growth.scan_windowed_shift(T, cfg.delta, cfg.eps, cfg.horizon)
-    elif cfg.variant == "fixed":
-        res = growth.scan_fixed_shift(T, cfg.h, cfg.big_k, cfg.horizon)
     else:
-        raise ValueError(f"unknown scan variant {cfg.variant!r}")
+        res = growth.scan_fixed_shift(T, cfg.h, cfg.big_k, cfg.horizon)
     summary = {
         "growth": T.label,
         "variant": cfg.variant,
@@ -378,7 +383,7 @@ def cmd_product_example(cfg: RunConfig) -> int:
 
 
 def cmd_polechain(cfg: RunConfig) -> int:
-    skip = tuple(int(s) for s in cfg.skip.split(",") if s.strip())
+    skip = tuple(_convert(int, s, f"skip {cfg.skip!r}") for s in cfg.skip.split(",") if s.strip())
     ch = poleprop.chain(cfg.k0, cfg.steps, skip_points=skip)
     d, k = poleprop.growth_lower_bound(ch)
     summary = {"growth_base": d, "growth_constant": k, "skipped": list(ch.skipped)}
@@ -407,6 +412,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{sub}: {message}" if sub else message)
 
 
+# subcommand -> (handler, help, its fields besides config, out, dry_run and
+# tol_unit, which every subcommand takes); both the parser and main read it
+_COMMANDS = {
+    "classify": (cmd_classify, "degree profile and verdict for equations", ("eq", "file")),
+    "enumerate": (cmd_enumerate, "all admissible equation families", ("poly",)),
+    "reduce": (cmd_enumerate, "apply the benchmark exclusion rules", ("poly",)),
+    "shift-check": (cmd_shift_check, "shift inequalities on a model",
+                    ("model", "c_list", "r_min", "r_max", "ratio")),
+    "logdiff-check": (cmd_logdiff_check, "explicit log-difference bound scan",
+                      ("model", "c_list", "delta", "eps", "r_min", "horizon", "ratio",
+                       "max_log_measure")),
+    "growth-scan": (cmd_growth_scan, "shift-stability scans for growth data",
+                    ("growth_spec", "variant", "delta", "eps", "h", "big_k", "horizon")),
+    "product-example": (cmd_product_example, "separating product window table",
+                        ("levels", "n1", "samples", "min_separation", "max_smallness")),
+    "polechain": (cmd_polechain, "exact pole-order propagation table", ("k0", "steps", "skip")),
+    "characteristic": (cmd_characteristic, "r,m,N,T,err table for a model",
+                       ("model", "r_min", "r_max", "ratio")),
+}
+# a field's flag is --<field> with dashes, but for these
+_FLAGS = {"c_list": "--c", "growth_spec": "--growth", "big_k": "--K"}
+_REQUIRED = ("model", "growth_spec")
+_CHOICES = {"variant": ("density", "logmeasure", "fixed")}
+_HELP = {
+    "config": "key = value config file",
+    "out": "write the report to this path",
+    "poly": "left side (defaults to benchmark)",
+    "c_list": "comma-separated shifts",
+    "skip": "comma-separated skipped steps",
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # no prefix matching: an unknown flag is an error, never a longer one
@@ -417,110 +454,30 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+    for name, (_, help, fields) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         if name in _FORMATTED:
             p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
             p.add_argument("--json", dest="fmt", action="store_const", const="json")
-        return p
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--dry-run", dest="dry_run", action="store_true", default=None)
-        p.add_argument("--tol-unit", dest="tol_unit", type=float, default=None)
-
-    p = add_parser("classify", help="degree profile and verdict for equations")
-    p.add_argument("--eq", default=None)
-    p.add_argument("--file", default=None)
-    common(p)
-
-    p = add_parser("enumerate", help="all admissible equation families")
-    p.add_argument("--poly", default=None, help="left side (defaults to benchmark)")
-    common(p)
-
-    p = add_parser("reduce", help="apply the benchmark exclusion rules")
-    p.add_argument("--poly", default=None)
-    common(p)
-
-    p = add_parser("shift-check", help="shift inequalities on a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--c", dest="c_list", default=None, help="comma-separated shifts")
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    common(p)
-
-    p = add_parser("logdiff-check", help="explicit log-difference bound scan")
-    p.add_argument("--model", required=True)
-    p.add_argument("--c", dest="c_list", default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--max-log-measure", dest="max_log_measure", type=float, default=None)
-    common(p)
-
-    p = add_parser("growth-scan", help="shift-stability scans for growth data")
-    p.add_argument("--growth", dest="growth_spec", required=True)
-    p.add_argument("--variant", default=None, choices=["density", "logmeasure", "fixed"])
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--K", dest="big_k", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    common(p)
-
-    p = add_parser("product-example", help="separating product window table")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--min-separation", dest="min_separation", type=float, default=None)
-    p.add_argument("--max-smallness", dest="max_smallness", type=float, default=None)
-    common(p)
-
-    p = add_parser("polechain", help="exact pole-order propagation table")
-    p.add_argument("--k0", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--skip", default=None, help="comma-separated skipped steps")
-    common(p)
-
-    p = add_parser("characteristic", help="r,m,N,T,err table for a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    common(p)
-
+        for field in fields + ("config", "out", "dry_run", "tol_unit"):
+            kind = _TYPES.get(field, str)
+            how = ({"action": "store_true"} if kind is bool
+                   else {"type": kind, "choices": _CHOICES.get(field)})
+            p.add_argument(_FLAGS.get(field, "--" + field.replace("_", "-")), dest=field,
+                           default=None, required=field in _REQUIRED, help=_HELP.get(field), **how)
     return top
 
 
-_DISPATCH = {
-    "classify": cmd_classify,
-    "enumerate": lambda cfg: cmd_enumerate(cfg, reduce_list=False),
-    "reduce": lambda cfg: cmd_enumerate(cfg, reduce_list=True),
-    "shift-check": cmd_shift_check,
-    "logdiff-check": cmd_logdiff_check,
-    "growth-scan": cmd_growth_scan,
-    "product-example": cmd_product_example,
-    "polechain": cmd_polechain,
-    "characteristic": cmd_characteristic,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
         if extra:
             raise ValueError(f"{args.subcommand}: unrecognized arguments: {' '.join(extra)}")
         cfg = _resolve(args)
         if cfg.dry_run:
             sys.stdout.write(cfg.dump())
             return OK
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _COMMANDS[cfg.subcommand][0](cfg)
     except SystemExit as exc:  # --help
         return OK if exc.code in (0, None) else OPERATIONAL_ERROR
     except (ParseError, diffpoly.DiffPolyError, ValueError, OSError, poleprop.Overflow) as exc:

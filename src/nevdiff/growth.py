@@ -360,6 +360,10 @@ def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: fl
 
 def scan_fixed_shift(T: GrowthFunction, h: float, K: float, horizon: float) -> ScanResult:
     """Finite-order branch: T(r+h) <= T(r) + 4*h*K*T(r)/r with caller's K."""
+    if not h > 0:  # a zero shift holds vacuously
+        raise ValueError(f"h must be positive, got {h:g}")
+    if not K >= 0:
+        raise ValueError(f"K must be non-negative, got {K:g}")
     grid = geometric_grid(1.0, horizon, 1.01)
 
     def check(r: float) -> ScanRow:

@@ -1,15 +1,17 @@
+import argparse
 import dataclasses
 import hashlib
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nevdiff.cli import _FIELD_TYPES, RunConfig, _build_parser, main
+from nevdiff.cli import _COMMANDS, _CHOICES, _TYPES, _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,14 +167,84 @@ def test_symbolic_modules_import_without_numpy():
 
 
 def test_config_text_converts_to_each_field_type(tmp_path, capsys):
-    for name, default in RunConfig._field_defaults.items():
-        if default is not None:
-            assert _FIELD_TYPES.get(name, str) is type(default), name
     cfg = tmp_path / "run.cfg"
     cfg.write_text("min_separation = 2\nmax_smallness = 1e-3\nout = x.txt\n", encoding="utf-8")
     code, out, _ = run(capsys, "product-example", "--config", str(cfg), "--dry-run")
     assert code == 0
     assert {"max_smallness = 0.001", "min_separation = 2.0", "out = x.txt"} <= set(out.splitlines())
+
+
+def _opt(flag, dest, kind=None, required=False, choices=None):
+    return (flag, dest, kind, required, choices)
+
+
+# Every subcommand's flags, in order, as the subcommand table must build
+# them: option, dest, type name (None where the text passes through, as
+# str does), required, choices.
+_FORMAT = [_opt("--format", "fmt", choices=("text", "json")), _opt("--json", "fmt")]
+_COMMON = [_opt("--config", "config"), _opt("--out", "out"), _opt("--dry-run", "dry_run"),
+           _opt("--tol-unit", "tol_unit", "float")]
+_MODEL = _opt("--model", "model", required=True)
+_R_MIN, _R_MAX = _opt("--r-min", "r_min", "float"), _opt("--r-max", "r_max", "float")
+_RATIO, _HORIZON = _opt("--ratio", "ratio", "float"), _opt("--horizon", "horizon", "float")
+_DELTA, _EPS = _opt("--delta", "delta", "float"), _opt("--eps", "eps", "float")
+SURFACE = {
+    "classify": _FORMAT + [_opt("--eq", "eq"), _opt("--file", "file")] + _COMMON,
+    "enumerate": _FORMAT + [_opt("--poly", "poly")] + _COMMON,
+    "reduce": _FORMAT + [_opt("--poly", "poly")] + _COMMON,
+    "shift-check": [_MODEL, _opt("--c", "c_list"), _R_MIN, _R_MAX, _RATIO] + _COMMON,
+    "logdiff-check": [_MODEL, _opt("--c", "c_list"), _DELTA, _EPS, _R_MIN, _HORIZON, _RATIO,
+                      _opt("--max-log-measure", "max_log_measure", "float")] + _COMMON,
+    "growth-scan": [_opt("--growth", "growth_spec", required=True),
+                    _opt("--variant", "variant", choices=("density", "logmeasure", "fixed")),
+                    _DELTA, _EPS, _opt("--h", "h", "float"), _opt("--K", "big_k", "float"),
+                    _HORIZON] + _COMMON,
+    "product-example": [_opt("--levels", "levels", "int"), _opt("--n1", "n1", "int"),
+                        _opt("--samples", "samples", "int"),
+                        _opt("--min-separation", "min_separation", "float"),
+                        _opt("--max-smallness", "max_smallness", "float")] + _COMMON,
+    "polechain": [_opt("--k0", "k0", "int"), _opt("--steps", "steps", "int"),
+                  _opt("--skip", "skip")] + _COMMON,
+    "characteristic": [_MODEL, _R_MIN, _R_MAX, _RATIO] + _COMMON,
+}
+
+
+def test_subcommand_table_builds_the_recorded_flags():
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    built = {
+        name: [_opt(a.option_strings[0], a.dest,
+                    a.type.__name__ if a.type not in (None, str) else None,
+                    a.required, a.choices and tuple(a.choices))
+               for a in p._actions if a.dest != "help"]
+        for name, p in subs.choices.items()
+    }
+    assert list(built.items()) == list(SURFACE.items())
+
+
+@pytest.mark.parametrize("sub, field", [
+    (sub, field) for sub, (_, _, fields) in _COMMANDS.items() for field in fields
+    if field not in ("model", "growth_spec")  # argparse wants these as flags
+])
+def test_flag_and_config_line_resolve_alike(tmp_path, capsys, sub, field):
+    flag = next(opt for opt, dest, *_ in SURFACE[sub] if dest == field)
+    required = {"--model": "expexp", "--growth": "exp"}
+    argv = [sub] + [a for opt, *_ in SURFACE[sub] if opt in required for a in (opt, required[opt])]
+    value = _CHOICES.get(field, {float: ("2.5",), int: ("3",), str: ("x",)}[_TYPES.get(field, str)])[-1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{field} = {value}\n", encoding="utf-8")
+    by_flag = run(capsys, *argv, flag, value, "--dry-run")
+    assert by_flag == run(capsys, *argv, "--config", str(cfg), "--dry-run")
+    assert by_flag[0] == 0 and f"{field} = {value}" in by_flag[1].splitlines()
+
+
+def test_help_lists_every_flag(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and all(sub in out for sub in SURFACE)
+    for sub, opts in SURFACE.items():
+        code, out, err = run(capsys, sub, "--help")
+        assert (code, err) == (0, "")
+        assert set(re.findall(r"(?<![\w-])--[\w-]+", out)) == {"--help"} | {o[0] for o in opts}
 
 
 def test_config_file_layering(tmp_path, capsys):
@@ -330,6 +402,16 @@ def test_non_finite_config_rejected(capsys, argv, field):
         (["growth-scan", "--growth", "exproot:0"], "growth parameter must be positive, got 0"),
         (["growth-scan", "--growth", "exproot:-1"],
          "growth parameter must be positive, got -1"),
+        # the fixed-shift lemma needs a positive shift and a non-negative constant
+        (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--h", "-1"],
+         "h must be positive, got -1"),
+        (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--h", "0"],
+         "h must be positive, got 0"),
+        (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--K", "-100"],
+         "K must be non-negative, got -100"),
+        (["polechain", "--skip", "a"], "skip 'a': invalid int value: 'a'"),
+        (["growth-scan", "--growth", "power"], "growth spec 'power': invalid float value: ''"),
+        (["growth-scan", "--growth", "power:"], "growth spec 'power:': invalid float value: ''"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -407,6 +489,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
          "dry_run must be one of 1, true, yes, 0, false, no, got 'maybe'"),
         (["shift-check", "--model", "expexp"], "dry_run = on",
          "dry_run must be one of 1, true, yes, 0, false, no, got 'on'"),
+        (["product-example"], "levels = 2.0", "levels: invalid int value: '2.0'"),
+        (["characteristic", "--model", "exp:z"], "r_min = abc",
+         "r_min: invalid float value: 'abc'"),
+        (["growth-scan", "--growth", "exp"], "variant = dense",
+         "variant: invalid choice: 'dense' (choose from 'density', 'logmeasure', 'fixed')"),
     ],
 )
 def test_invalid_config_values_rejected(tmp_path, capsys, argv, line, message):
