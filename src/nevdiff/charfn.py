@@ -516,8 +516,9 @@ def circle_means(
     Every round evaluates the live panels of a whole block of circles
     together (the first in chunks of circles), but each circle keeps its own
     scale, tolerance, acceptance, budget and panel cap, and its accepted
-    contributions are combined with exact summation, so each mean is the one
-    its circle gets alone and is byte-stable regardless of refinement order.
+    panels are summed correctly rounded, bit for bit as math.fsum sums them
+    (`_fsums`, which calls fsum only near ties and at extreme magnitudes), so
+    each mean is the one its circle gets alone, whatever the refinement order.
     Raises the error of the first failing radius in the order given.
     """
     means, err = _means_prefix(model, radii, tol_unit, base_panels, max_panels)
@@ -593,11 +594,39 @@ def _integrand(model: MeromorphicModel, z: np.ndarray) -> np.ndarray:
 def _simpson(h, tol, f0, fl, f1, fr, f2):
     """Each panel's extrapolated five-point Simpson value, its error estimate
     and whether it is accepted against tol (per full turn)."""
-    s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
-    s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
-    err = np.abs(s2 - s1) / 15.0
-    ok = (err <= tol * h / TWO_PI) | (h <= _H_MIN)
-    return s2 + (s2 - s1) / 15.0, err, ok
+    # overflow shows as a non-finite value or error, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = h / 6.0 * (f0 + 4.0 * f1 + f2)
+        s2 = h / 12.0 * (f0 + 4.0 * fl + 2.0 * f1 + 4.0 * fr + f2)
+        err = np.abs(s2 - s1) / 15.0
+        ok = (err <= tol * h / TWO_PI) | (h <= _H_MIN)
+        return s2 + (s2 - s1) / 15.0, err, ok
+
+
+def _fsums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """`math.fsum` of each run of x, bit for bit (run i is the next counts[i]
+    >= 1 values): error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci.
+    Comput. 31 (2008)) below sigma, a power of two >= (n + 2) sum|x|, and
+    fsum itself, with its result or exception, where r is not provably its:
+    near ties, magnitudes under 2^-960, overflow, NaN or inf."""
+    starts = np.cumsum(counts) - counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.add.reduceat(np.abs(x), starts)  # >= max |x|, rounding included
+        sigma = np.repeat(np.ldexp(1.0, np.frexp(counts + 1.0)[1] + np.frexp(size)[1]), counts)
+        q = (sigma + x) - sigma
+        lo = x - q
+        tau, c = np.add.reduceat(q, starts), np.add.reduceat(lo, starts)
+        bound = np.add.reduceat(np.abs(lo), starts) * (counts * 2.0**-52)
+        r = tau + c
+        back = r - tau  # TwoSum: r + t is exactly tau + c
+        slack = np.abs((tau - (r - back)) + (c - back)) + bound
+        # r is fsum's if the exact sum is inside r's rounding interval
+        half = np.spacing(np.abs(r)) * np.where(np.abs(np.frexp(r)[0]) == 0.5, 0.25, 0.5)
+        good = (slack < half) & (np.minimum(np.abs(r), size) >= 2.0**-960) & (size < math.inf)
+    # a run of zeros, -0.0 too, sums to +0.0 as in fsum
+    for j in np.flatnonzero(~good & (size != 0.0)).tolist():
+        r[j] = math.fsum(x[starts[j] : starts[j] + counts[j]].tolist())
+    return r
 
 
 def _halves(a, h, rid, f0, fl, f1, fr, f2):
@@ -619,13 +648,13 @@ def _block_means(
 
     The probe rows are evaluated _CHUNK_ROWS circles per model call, and each
     seeded circle's panel ends and midpoints with the last chunk.  A circle
-    whose panels are `_BASE` runs its first round densely on its probe row:
-    a row with every panel accepted is summed as it stands, and the rejected
-    panels of the others, already split, join the frontier of (circle `rid`,
-    panel) pairs, where every panel still needs its quarter points.  A
-    failing circle drops itself and every later circle before the next
-    Simpson arithmetic; an earlier one that fails later in the refinement
-    still takes precedence, as it would in a scan in order.
+    whose panels are `_BASE` runs its first round densely on its probe row,
+    and its rejected panels, already split, join the frontier of (circle
+    `rid`, panel) pairs, where every panel still needs its quarter points.
+    Every round's accepted panels are summed per circle once, at the end, by
+    one `_fsums` call.  A failing circle drops itself and every later circle
+    before the next Simpson arithmetic; an earlier one that fails later in
+    the refinement still takes precedence, as it would in a scan in order.
     """
     nb = len(radii)
     rb = np.array(radii, dtype=float)
@@ -635,9 +664,9 @@ def _block_means(
         for j in np.flatnonzero(bad):
             failures.setdefault(int(j), error(text.format(r=radii[j], n=int(evals[j]))))
 
-    def nonfinite(point_rid: np.ndarray, values: np.ndarray) -> None:
+    def nonfinite(point_rid: np.ndarray, values: np.ndarray, what: str = "integrand") -> None:
         hit = np.bincount(point_rid[~np.isfinite(values)], minlength=nb) > 0
-        fail(hit, NumericalBreakdown, "non-finite integrand at r={r:g}")
+        fail(hit, NumericalBreakdown, f"non-finite {what} at r={{r:g}}")
 
     def over_budget(live: np.ndarray) -> None:
         text = "budget exhausted at r={r:g} ({n} evaluations)"
@@ -671,7 +700,6 @@ def _block_means(
     tol = tol_unit * scale * TWO_PI
     over_budget(np.ones(nb, dtype=bool))
 
-    sums, err_sums = np.zeros(nb), np.zeros(nb)  # of each circle's accepted panels
     accepted = [(rid[:0], a[:0], a[:0])]  # (circle, value, error) per panel
     # the probed circles before the first failure: their first round reads
     # f0, fl, f1, fr, f2 of every base panel as strided views of the probe
@@ -680,11 +708,9 @@ def _block_means(
         grid = g if len(rows) == nb else g[rows]
         f = [grid[:, k:-1:4] for k in range(4)] + [grid[:, 4::4]]
         s, err, ok = _simpson(_BASE[1], tol[rows, None], *f)
-        whole = ok.all(axis=1)
-        sums[rows[whole]] = list(map(math.fsum, s[whole].tolist()))
-        err_sums[rows[whole]] = list(map(math.fsum, err[whole].tolist()))
-        part = ok & ~whole[:, None]
-        accepted.append((np.repeat(rows, part.sum(axis=1)), s[part], err[part]))
+        cells = np.broadcast_to(rows[:, None], s.shape)
+        nonfinite(cells, s, "panel value")  # a finite value has a finite error
+        accepted.append((cells[ok], s[ok], err[ok]))
         row, col = np.nonzero(~ok)
         split = _halves(_BASE[0][col], _BASE[1][col], rows[row], *(fk[row, col] for fk in f))
         over_cap(split[2])
@@ -706,23 +732,19 @@ def _block_means(
         s, err, ok = _simpson(h, tol[rid], f0, fl, f1, fr, f2)
         accepted.append((rid[ok], s[ok], err[ok]))
         nonfinite(both, vals)
+        nonfinite(rid, s, "panel value")
         bad = ~ok
         a, h, rid, f0, f1, f2 = _halves(*(x[bad] for x in (a, h, rid, f0, fl, f1, fr, f2)))
         over_cap(rid)
 
     done = min(failures, default=nb)
-    # the other circles' accepted panels, gathered by one stable sort; fsum
-    # is exactly rounded, so their order does not matter
+    # one stable sort puts each circle's accepted panels together, in order
     acc, values, errors = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.argsort(acc, kind="stable")
-    counts = np.bincount(acc, minlength=nb)
-    ends = np.cumsum(counts).tolist()
-    values, errors = values[order].tolist(), errors[order].tolist()
-    for j in np.flatnonzero(counts[:done]).tolist():
-        lo, hi = ends[j - 1] if j else 0, ends[j]
-        sums[j], err_sums[j] = math.fsum(values[lo:hi]), math.fsum(errors[lo:hi])
+    counts = np.bincount(acc, minlength=nb)[:done]
+    order = np.argsort(acc, kind="stable")[: counts.sum()]
+    sums = _fsums(np.concatenate([values[order], errors[order]]), np.concatenate([counts, counts]))
     value = sums[:done] / TWO_PI
-    error = (err_sums[:done] + 1e-16 * scale[:done]) / TWO_PI
+    error = (sums[done:] + 1e-16 * scale[:done]) / TWO_PI
     if model._averaged:
         error += np.array([model.band_error(r) for r in radii[:done]]) / TWO_PI
     means = list(map(CircleMean._make, zip(

@@ -133,11 +133,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         for k, v in vars(args).items()
         if k not in ("subcommand", "config") and v is not None
     })
-    merged = {}
+    merged, taken = {}, _COMMANDS[args.subcommand][2] + _COMMON + ("fmt",)
     for layer in layers:
         for key, value in layer.items():
             if key not in RunConfig._fields or key == "subcommand":
                 raise ValueError(f"unknown config key {key!r}")
+            if key not in taken:
+                raise ValueError(f"{args.subcommand} takes no config key {key!r}")
             merged[key] = _coerce(key, value) if isinstance(value, str) else value
     cfg = RunConfig(args.subcommand, **merged)
     for name, value in zip(cfg._fields, cfg):
@@ -412,8 +414,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{sub}: {message}" if sub else message)
 
 
-# subcommand -> (handler, help, its fields besides config, out, dry_run and
-# tol_unit, which every subcommand takes); both the parser and main read it
+# subcommand -> (handler, help, its fields besides the _COMMON ones, which
+# every subcommand takes); the parser, _resolve and main read it
 _COMMANDS = {
     "classify": (cmd_classify, "degree profile and verdict for equations", ("eq", "file")),
     "enumerate": (cmd_enumerate, "all admissible equation families", ("poly",)),
@@ -431,6 +433,7 @@ _COMMANDS = {
     "characteristic": (cmd_characteristic, "r,m,N,T,err table for a model",
                        ("model", "r_min", "r_max", "ratio")),
 }
+_COMMON = ("config", "out", "dry_run", "tol_unit")
 # a field's flag is --<field> with dashes, but for these
 _FLAGS = {"c_list": "--c", "growth_spec": "--growth", "big_k": "--K"}
 _REQUIRED = ("model", "growth_spec")
@@ -459,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in _FORMATTED:
             p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
             p.add_argument("--json", dest="fmt", action="store_const", const="json")
-        for field in fields + ("config", "out", "dry_run", "tol_unit"):
+        for field in fields + _COMMON:
             kind = _TYPES.get(field, str)
             how = ({"action": "store_true"} if kind is bool
                    else {"type": kind, "choices": _CHOICES.get(field)})

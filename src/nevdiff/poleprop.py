@@ -52,6 +52,9 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = ()) -> PoleChain:
     if math.log(k0) + steps * math.log(STEP_RATIO) > math.log(MAX_BOUND):
         raise Overflow(f"{steps} steps from k0={k0} exceed the float range")
     skip = set(skip_points)
+    outside = [n for n in skip if not 1 <= n <= steps]
+    if outside:
+        raise ValueError(f"skip step {min(outside)} is outside 1..{steps}")
     bounds = [Fraction(k0)]
     ceilings = [k0]
     for n in range(1, steps + 1):
@@ -65,7 +68,7 @@ def chain(k0: int, steps: int, *, skip_points: Sequence[int] = ()) -> PoleChain:
         k0=k0,
         bounds=tuple(bounds),
         ceilings=tuple(ceilings),
-        skipped=tuple(sorted(skip & set(range(1, steps + 1)))),
+        skipped=tuple(sorted(skip)),
     )
 
 

@@ -2,12 +2,13 @@ import cmath
 import hashlib
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nevdiff import charfn as cf
@@ -722,6 +723,55 @@ def test_polyval_from_the_leading_coefficient_is_the_zero_start_horner(coeffs, p
     with np.errstate(all="ignore"):
         got = cf._polyval(coeffs, z)
     assert got.tobytes() == acc.tobytes()
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, sign: sign * m, magnitudes, st.sampled_from([1.0, -1.0]))
+
+
+# the pieces a run of _fsums is made of: ordinary magnitudes, zeros of both
+# signs, subnormals, pieces around ties at 1 - 2^-54 and 1 + 2^-53 (with
+# 2^55 to cancel), magnitudes whose sums overflow, and non-finite values
+_SUM_PIECES = [
+    _signed(st.floats(1e-300, 1e300)),
+    st.sampled_from([0.0, -0.0]),
+    _signed(st.floats(5e-324, 2.0**-1022, exclude_max=True)),
+    st.sampled_from([0.75, 1.0] + [sign * 2.0**e for e in (-54, -106, -108, 55)
+                                   for sign in (1, -1)]),
+    _signed(st.sampled_from([1.7e308, 1e292, 2.0**971])),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+]
+_RUNS = st.lists(
+    st.one_of([st.lists(p, min_size=1, max_size=40) for p in _SUM_PIECES]
+              + [st.lists(st.one_of(_SUM_PIECES), min_size=1, max_size=40)]),
+    min_size=1, max_size=6,
+)
+
+
+@given(_RUNS)
+@example([[1e308, 1e308]])
+@example([[1.7e308, 1e292, -1.7e308]])
+@example([[-0.0], [-0.0, -0.0], [0.0, -0.0]])
+@example([[1.0, 2.0**-54], [1.0, -(2.0**-54)], [1.0, 2.0**-54, 2.0**-106]])
+# just past a tie below a power of two, and a sum of the low parts that
+# rounds across a tie after cancellation
+@example([[1.0, -(2.0**-54), -(2.0**-108)]])
+@example([[-(2.0**55), -7 * 2.0**-92, 5 * 2.0**-54, 2.0**55, 0.75, 7 * 2.0**-62, -(2.0**-71),
+            5 * 2.0**-107]])
+@settings(max_examples=300, deadline=None)
+def test_fsums_are_fsum_bit_for_bit(runs):
+    x = np.array([v for run in runs for v in run])
+    counts = np.array([len(run) for run in runs])
+    want = []
+    for run in runs:
+        try:
+            want.append(math.fsum(run).hex())
+        except (OverflowError, ValueError) as exc:
+            # the first run fsum refuses is the one the whole call refuses
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                cf._fsums(x, counts)
+            return
+    assert [v.hex() for v in cf._fsums(x, counts).tolist()] == want
 
 
 @pytest.mark.parametrize("model", [Z_POLY, SQUARE_LESS_TWO, QUADRATIC, NEAR_POLES])

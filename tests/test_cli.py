@@ -166,6 +166,18 @@ def test_symbolic_modules_import_without_numpy():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
+def test_simpson_overflow_is_one_error_line():
+    # log|exp(e^z)| = e^{r cos t} cos(r sin t) is finite at r = 709.5, but the
+    # Simpson sums of it overflow: no numpy warning may reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); from nevdiff.cli import main; sys.exit(main())"
+    argv = ["characteristic", "--model", "expexp", "--r-min", "709.5", "--r-max", "709.5"]
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "error: numerical: non-finite panel value at r=709.5\n"
+
+
 def test_config_text_converts_to_each_field_type(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("min_separation = 2\nmax_smallness = 1e-3\nout = x.txt\n", encoding="utf-8")
@@ -412,6 +424,9 @@ def test_non_finite_config_rejected(capsys, argv, field):
         (["polechain", "--skip", "a"], "skip 'a': invalid int value: 'a'"),
         (["growth-scan", "--growth", "power"], "growth spec 'power': invalid float value: ''"),
         (["growth-scan", "--growth", "power:"], "growth spec 'power:': invalid float value: ''"),
+        # a skip step names a step of the chain
+        (["polechain", "--steps", "3", "--skip=-5,99"], "skip step -5 is outside 1..3"),
+        (["polechain", "--steps", "3", "--skip", "2,4"], "skip step 4 is outside 1..3"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -494,6 +509,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
          "r_min: invalid float value: 'abc'"),
         (["growth-scan", "--growth", "exp"], "variant = dense",
          "variant: invalid choice: 'dense' (choose from 'density', 'logmeasure', 'fixed')"),
+        # a key the subcommand takes no flag for, as --levels is refused
+        (["characteristic", "--model", "exp:z"], "levels = 3",
+         "characteristic takes no config key 'levels'"),
+        (["shift-check", "--model", "expexp"], "max_log_measure = 2",
+         "shift-check takes no config key 'max_log_measure'"),
     ],
 )
 def test_invalid_config_values_rejected(tmp_path, capsys, argv, line, message):
