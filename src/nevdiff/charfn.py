@@ -20,6 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import Refused, Rejected
 from .growth import (
     Model,
     ScanResult,
@@ -40,18 +41,16 @@ _EXACT_BAND = 40.0
 _RIPPLE_AVERAGE_N = 4096
 
 
-class CharFnError(Exception):
-    pass
+class CharFnError(Rejected):
+    """The finite-order guard of the example product refuses a level."""
 
 
-class NumericalBreakdown(CharFnError):
+class NumericalBreakdown(Refused):
     """The numerics failed on an input, not the mathematics: the integrand
     left the float range, a root or a quadrature did not converge, or a
     divisor point stayed on the circle."""
 
-
-class RootIsolationFailure(NumericalBreakdown):
-    pass
+    prefix = "error: numerical: "
 
 
 class PoleOnCircle(NumericalBreakdown):
@@ -211,8 +210,17 @@ def _ring_array(ring: Ring) -> np.ndarray:
     return R * np.exp(1j * (TWO_PI * np.arange(n) / n)) - c
 
 
-def _poly_floats(coeffs: Sequence[Fraction]) -> np.ndarray:
-    return np.array([float(c) for c in coeffs], dtype=float)
+def _finite_float(x: Fraction, what: str) -> float:
+    """float(x), or a refusal that names `what` when x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is outside the float range") from None
+
+
+def _poly_floats(coeffs: Sequence[Fraction], what: str) -> np.ndarray:
+    return np.array([_finite_float(c, f"{what} coefficient of z^{k}")
+                     for k, c in enumerate(coeffs)], dtype=float)
 
 
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -226,7 +234,7 @@ def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _cluster_roots(roots: np.ndarray) -> List[Tuple[complex, int]]:
     if not np.all(np.isfinite(roots)):
-        raise RootIsolationFailure("non-finite root from companion matrix")
+        raise NumericalBreakdown("non-finite root from companion matrix")
     items = sorted((complex(z) for z in roots), key=lambda z: (abs(z), z.real, z.imag))
     out: List[Tuple[complex, int]] = []
     for z in items:
@@ -253,6 +261,7 @@ class RationalFn(MeromorphicModel):
         _require_coprime(num, den)
         self.num = num
         self.den = den
+        self._floats = _poly_floats(num, "numerator"), _poly_floats(den, "denominator")
 
     @property
     def label(self) -> str:
@@ -263,13 +272,9 @@ class RationalFn(MeromorphicModel):
         return max(_frac_degree(self.num), _frac_degree(self.den))
 
     @cached_property
-    def _floats(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _poly_floats(self.num), _poly_floats(self.den)
-
-    @cached_property
     def _roots(self) -> Tuple[Tuple[Tuple[complex, int], ...], ...]:
         """(zeros, poles) as clustered (point, multiplicity) pairs."""
-        return _poly_roots(self.num), _poly_roots(self.den)
+        return _poly_roots(self._floats[0]), _poly_roots(self._floats[1])
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         num, den = self._floats
@@ -314,8 +319,8 @@ def _require_coprime(num: Sequence[Fraction], den: Sequence[Fraction]) -> None:
         raise ValueError("numerator and denominator share a polynomial factor")
 
 
-def _poly_roots(coeffs: Tuple[Fraction, ...]) -> Tuple[Tuple[complex, int], ...]:
-    floats = [float(c) for c in coeffs]
+def _poly_roots(coeffs: np.ndarray) -> Tuple[Tuple[complex, int], ...]:
+    floats = list(coeffs)
     while floats and floats[-1] == 0.0:
         floats.pop()
     if len(floats) <= 1:
@@ -411,14 +416,11 @@ class ExpPoly(MeromorphicModel):
 
     def __init__(self, exponent: Tuple[Fraction, ...]):
         self.exponent = exponent
+        self._floats = _poly_floats(exponent, "exponent")
 
     @property
     def label(self) -> str:
         return f"exp:{_poly_text_frac(self.exponent)}"
-
-    @cached_property
-    def _floats(self) -> np.ndarray:
-        return _poly_floats(self.exponent)
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return _polyval(self._floats, z).real
@@ -496,7 +498,7 @@ _CHUNK_ROWS = 15
 
 # the means of the longest prefix of the radii that succeeds, and the error
 # of the radius after it (None when every radius succeeds)
-MeansPrefix = Tuple[List[CircleMean], Optional[CharFnError]]
+MeansPrefix = Tuple[List[CircleMean], Optional[NumericalBreakdown]]
 
 
 def circle_means(
@@ -954,7 +956,7 @@ def _proximity_prefix(
 
 def _characteristic_prefix(
     model: MeromorphicModel, radii: Sequence[float], tol_unit: float
-) -> Tuple[List[CharacteristicSample], Optional[CharFnError]]:
+) -> Tuple[List[CharacteristicSample], Optional[NumericalBreakdown]]:
     """characteristic_T over radii in order, up to the first radius that fails."""
     means, err = _proximity_prefix(model, radii, tol_unit)
     counts = _counting_grid(model, [mean.radius for mean in means], "poles")
@@ -1270,7 +1272,7 @@ def example_product_report(
 # model mini-language
 
 
-def model_from_spec(spec: str) -> MeromorphicModel:
+def model_from_spec(spec: str, _wrappers: int = 0) -> MeromorphicModel:
     """Build a model from the CLI mini-language.
 
     Forms: `rational:{num}/{den}` (braced integer polynomials in z, den
@@ -1278,16 +1280,18 @@ def model_from_spec(spec: str) -> MeromorphicModel:
     any of them wrapped by `shift:c:` with c a shift literal like `1`,
     `i`, or `2+i`.
     """
+    from .eqparse import NESTING_CAP, parse_braced_quotient, parse_zpoly
+
     text = spec.strip()
     if text.startswith("shift:"):
         rest = text[len("shift:") :]
         head, sep, tail = rest.partition(":")
         if not sep:
             raise ValueError("shift wrapper needs shift:c:<model>")
-        return Shifted(model_from_spec(tail), _parse_shift_constant(head))
+        if _wrappers == NESTING_CAP:
+            raise ValueError(f"more than {NESTING_CAP} shift: wrappers")
+        return Shifted(model_from_spec(tail, _wrappers + 1), _parse_shift_constant(head))
     if text.startswith("rational:"):
-        from .eqparse import parse_braced_quotient
-
         num, den = parse_braced_quotient(text[len("rational:") :])
         return RationalFn(tuple(Fraction(c) for c in num), tuple(Fraction(c) for c in den))
     if text.startswith("product:"):
@@ -1305,8 +1309,6 @@ def model_from_spec(spec: str) -> MeromorphicModel:
         return model
     if text.startswith("exp:"):
         body = text[len("exp:") :]
-        from .eqparse import parse_zpoly
-
         coeffs = parse_zpoly(body)
         return ExpPoly(tuple(Fraction(c) for c in coeffs))
     if text == "expexp":
@@ -1318,4 +1320,4 @@ def _parse_shift_constant(text: str) -> complex:
     from .eqparse import parse_shift_constant
 
     re, im = parse_shift_constant(text)
-    return complex(re) + 1j * complex(im)
+    return _finite_float(re, "shift constant") + 1j * _finite_float(im, "shift constant")

@@ -5,8 +5,9 @@ Configuration layers: built-in defaults, then `key = value` lines from
 fixed configuration (no timestamps, exact summation, fixed float format).
 
 Exit codes: 0 all checks pass, 1 operational error (bad input, unreadable
-file, numerical breakdown), 2 mathematical rejection (inadmissible equation,
-refused reduction, failed hard assertion).
+file, numerical breakdown: `nevdiff.Refused`), 2 mathematical rejection
+(inadmissible equation, refused reduction, failed hard assertion:
+`nevdiff.Rejected`); each root declares its code and stderr prefix.
 """
 
 from __future__ import annotations
@@ -17,18 +18,16 @@ import json
 import sys
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
-from . import charfn, clunie, diffpoly, growth, poleprop
+from . import Refused, Rejected, charfn, clunie, growth, poleprop
 from .eqparse import (
     ClunieEquation,
-    CommonFactor,
-    ParseError,
     parse_equation,
     parse_polynomial,
     to_canonical_text,
     validate_no_common_factors,
 )
 
-OK, OPERATIONAL_ERROR, REJECTED = 0, 1, 2
+OK, OPERATIONAL_ERROR, REJECTED = 0, Refused.exit_code, Rejected.exit_code
 # the subcommands with a JSON report (--json, --format, fmt = json)
 _FORMATTED = ("classify", "enumerate", "reduce")
 
@@ -195,7 +194,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     for eq in _equations_from(cfg):
         try:
             eq = validate_no_common_factors(eq)
-        except CommonFactor as exc:
+        except Rejected as exc:  # a common factor
             _emit(f"rejected: {exc}\n", cfg)
             return REJECTED
         violations = clunie.check_hypotheses(eq)
@@ -483,15 +482,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[cfg.subcommand][0](cfg)
     except SystemExit as exc:  # --help
         return OK if exc.code in (0, None) else OPERATIONAL_ERROR
-    except (ParseError, diffpoly.DiffPolyError, ValueError, OSError, poleprop.Overflow) as exc:
+    except (Refused, Rejected) as exc:
+        sys.stderr.write(f"{exc.prefix}{exc}\n")
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return OPERATIONAL_ERROR
-    except charfn.NumericalBreakdown as exc:
-        sys.stderr.write(f"error: numerical: {exc}\n")
-        return OPERATIONAL_ERROR
-    except (clunie.ClunieError, charfn.CharFnError, growth.GrowthError) as exc:
-        sys.stderr.write(f"rejected: {exc}\n")
-        return REJECTED
 
 
 if __name__ == "__main__":

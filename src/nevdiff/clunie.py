@@ -19,22 +19,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from . import Rejected
 from . import diffpoly as dp
 from .diffpoly import DiffPolynomial
 from .eqparse import ClunieEquation, parse_polynomial, poly_text
 
 
-class ClunieError(Exception):
-    pass
-
-
-class HypothesesViolated(ClunieError):
+class HypothesesViolated(Rejected):
     def __init__(self, violations: Sequence[str]):
         super().__init__("hypotheses violated: " + ", ".join(violations))
         self.violations = tuple(violations)
 
 
-class WrongBenchmark(ClunieError):
+class WrongBenchmark(Rejected):
     """The reduction rules apply only to the benchmark left side."""
 
 
@@ -403,48 +400,28 @@ def _benchmark_profile(fam: FamilySpec) -> DegreeProfile:
 # rendering and reports
 
 
+def _w(j: int) -> str:
+    return "" if j == 0 else "w" if j == 1 else f"w^{j}"
+
+
+def _monomial(coeff: str, j: int) -> str:
+    """`coeff*w^j`, leaving out an empty coefficient or a zeroth power."""
+    return "*".join(filter(None, (coeff, _w(j))))
+
+
 def family_equation_text(fam: FamilySpec, p: DiffPolynomial) -> str:
     """Instantiate the family schema with generic named coefficients."""
     o = fam.ord0_min
     inner_deg = fam.numerator_degree_max - o
     if inner_deg == 0:
-        if o == 0:
-            q_text = "a0"
-        elif o == 1:
-            q_text = f"a{o}*w"
-        else:
-            q_text = f"a{o}*w^{o}"
+        rhs = _monomial(f"a{o}", o)
     else:
-        parts = []
-        for j in range(inner_deg, -1, -1):
-            if j == 0:
-                parts.append(f"a{j}")
-            elif j == 1:
-                parts.append(f"a{j}*w")
-            else:
-                parts.append(f"a{j}*w^{j}")
-        inner = "+".join(parts)
-        if o == 0:
-            q_text = inner
-        elif o == 1:
-            q_text = f"w*({inner})"
-        else:
-            q_text = f"w^{o}*({inner})"
+        inner = "+".join(_monomial(f"a{j}", j) for j in range(inner_deg, -1, -1))
+        rhs = f"{_w(o)}*({inner})" if o else inner
     du = fam.denominator_degree
-    if du == 0:
-        rhs = q_text
-    else:
-        dparts = []
-        for j in range(du, -1, -1):
-            if j == du:
-                dparts.append("w" if du == 1 else f"w^{du}")
-            elif j == 0:
-                dparts.append("b0")
-            elif j == 1:
-                dparts.append(f"b{j}*w")
-            else:
-                dparts.append(f"b{j}*w^{j}")
-        rhs = f"({q_text})/({'+'.join(dparts)})"
+    if du:
+        den = [_w(du)] + [_monomial(f"b{j}", j) for j in range(du - 1, -1, -1)]
+        rhs = f"({rhs})/({'+'.join(den)})"
     return f"{poly_text(p)} = {rhs}"
 
 

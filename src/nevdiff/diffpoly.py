@@ -14,12 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
+from . import Refused
 from .zfield import RZ_ONE, RatZ
 
 MAX_EXPONENT = 2**63 - 1  # degrees are machine integers
 
 
-class DiffPolyError(Exception):
+class DiffPolyError(Refused):
     pass
 
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from . import diffpoly
+from . import Refused, Rejected, diffpoly
 from .diffpoly import (
     DiffPolynomial,
     Shift,
@@ -48,7 +48,7 @@ from .zfield import (
 RESERVED = {"w", "z", "i"}
 
 
-class ParseError(Exception):
+class ParseError(Refused):
     """Base class for every error the parser can raise."""
 
 
@@ -83,7 +83,7 @@ class SymbolicDuplicate(ParseError, diffpoly.SymbolicDuplicate):
     appear in the text."""
 
 
-class CommonFactor(Exception):
+class CommonFactor(Rejected):
     """Numerator and denominator share a nonconstant factor in w."""
 
 
@@ -231,6 +231,9 @@ W_DEGREE_CAP = 256
 # The most term products that expanding the groups of one term may make:
 # (w+{1})^180 makes 32580 of them in about 0.4 s.
 EXPANSION_CAP = 2**15
+# The deepest nesting of parentheses, and of `shift:` wrappers in a model spec:
+# a deeper one is refused before it recurses into Python's recursion limit.
+NESTING_CAP = 100
 
 
 def _int(t: _Tok) -> int:
@@ -278,6 +281,7 @@ class _Parser:
         self.k = 0
         self.last = len(self.toks) - 1  # the END token, which is never passed
         self.ctx = ctx
+        self.depth = 0  # open parentheses around the current token
 
     # --- token helpers
 
@@ -299,6 +303,12 @@ class _Parser:
 
     def at_op(self, ch: str) -> bool:
         return self.ops[self.k] == ch
+
+    def open_paren(self, pos: int) -> None:
+        """Enter a group whose '(' is at `pos`, refusing one past the cap."""
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            raise EquationSyntaxError(f"parentheses nested deeper than {NESTING_CAP}", pos)
 
     def take_sign(self) -> int:
         """1 or -1 for a '+' or '-' taken here, 0 when there is none."""
@@ -368,8 +378,10 @@ class _Parser:
             c = _int(t)
             base = (c,) if c else ZP_ZERO
         elif t.text == "(":
+            self.open_paren(t.pos)
             base = self._zexpr()
             self.expect_op(")")
+            self.depth -= 1
         else:
             raise EquationSyntaxError("expected z, an integer, or '('", t.pos)
         power, pos = self._power_suffix()
@@ -474,9 +486,11 @@ class _Parser:
             term.saw_numeric = True
             return
         if text == "(":
+            self.open_paren(pos)
             self.k += 1
             inner = self.parse_poly()
             self.expect_op(")")
+            self.depth -= 1
             power, at = self._power_suffix()
             if power > W_DEGREE_CAP:
                 raise EquationSyntaxError(f"power {power} of a group exceeds {W_DEGREE_CAP}", at)

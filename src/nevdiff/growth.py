@@ -12,20 +12,18 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import Rejected
+
 E = math.e
 # the largest density of the exception set a certified scan may show
 MAX_EXCEPTION_DENSITY = 0.05
 
 
-class GrowthError(Exception):
-    pass
-
-
-class TooSmall(GrowthError):
+class TooSmall(Rejected):
     """T(r) <= e, outside the domain of the log-log window."""
 
 
-class HypothesisViolation(GrowthError):
+class HypothesisViolation(Rejected):
     """A monotonicity or convexity requirement fails on the grid."""
 
 

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
+from . import Refused
+
 STEP_RATIO = Fraction(3, 2)  # the quadratic-vs-cubic propagation ratio
 # k0 * ratio^steps may not exceed this, which keeps every bound, its
 # counting sum and ratio^(1+n) in growth_lower_bound well inside the float
@@ -21,7 +23,7 @@ STEP_RATIO = Fraction(3, 2)  # the quadratic-vs-cubic propagation ratio
 MAX_BOUND = 1e300
 
 
-class Overflow(Exception):
+class Overflow(Refused):
     """The chain would outgrow the float range."""
 
 
@@ -92,18 +94,9 @@ def growth_lower_bound(ch: PoleChain) -> Tuple[float, float]:
     D is the chain's step ratio; K is the largest constant the chain
     supports, so the returned pair re-checks against every chain point.
     """
-    if ch.steps < 1:
-        n_low = counting_lower_bounds(ch)
-        d = float(STEP_RATIO)
-        k = n_low[-1] / d ** 1.0 if n_low[-1] > 0 else 0.0
-        return d, k
-    d = float(ch.bounds[1] / ch.bounds[0]) if ch.bounds[0] else float(STEP_RATIO)
-    if 1 in ch.skipped:
-        d = float(STEP_RATIO)
+    d = float(STEP_RATIO)
     n_low = counting_lower_bounds(ch)
-    k = min(
-        n_low[n] / d ** (1.0 + n) for n in range(1, ch.steps + 1)
-    )
+    k = min((n_low[n] / d ** (1.0 + n) for n in range(1, ch.steps + 1)), default=0.0)
     return d, k
 
 

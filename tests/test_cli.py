@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 
 BENCH_LHS = "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1)"
 BENCH_EQ = BENCH_LHS + " = (a2*w^2+a1*w+a0)/(w^2+b1*w+b0)"
+BIG = "1" + "0" * 400  # past the float range
 
 
 def run(capsys, *argv):
@@ -427,6 +428,22 @@ def test_non_finite_config_rejected(capsys, argv, field):
         # a skip step names a step of the chain
         (["polechain", "--steps", "3", "--skip=-5,99"], "skip step -5 is outside 1..3"),
         (["polechain", "--steps", "3", "--skip", "2,4"], "skip step 4 is outside 1..3"),
+        # literals past the float range, refused where the model or shift is built
+        (["shift-check", "--model", "rational:{1}/{z-1}", "--c", BIG, "--r-min", "2",
+          "--r-max", "3"], "shift constant is outside the float range"),
+        (["characteristic", "--model", f"shift:{BIG}:expexp"],
+         "shift constant is outside the float range"),
+        (["characteristic", "--model", f"rational:{{z-{BIG}}}"],
+         "numerator coefficient of z^0 is outside the float range"),
+        (["characteristic", "--model", f"exp:{BIG}"],
+         "exponent coefficient of z^0 is outside the float range"),
+        # nesting past the cap, refused before it recurses
+        (["classify", "--eq", "w=" + "(" * 3000 + "w" + ")" * 3000],
+         "parentheses nested deeper than 100 (at position 102)"),
+        (["characteristic", "--model", "rational:{" + "(" * 3000 + "z" + ")" * 3000 + "}"],
+         "parentheses nested deeper than 100 (at position 101)"),
+        (["characteristic", "--model", "shift:1:" * 3000 + "expexp"],
+         "more than 100 shift: wrappers"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
