@@ -17,3 +17,11 @@ class Rejected(Exception):
     """A mathematical rejection: an inadmissible equation or a refused rule."""
 
     exit_code, prefix = 2, "rejected: "
+
+
+class NumericalBreakdown(Refused):
+    """The numerics failed on an input, not the mathematics: a value left
+    the float range, a root or a quadrature did not converge, or a divisor
+    point stayed on the circle."""
+
+    prefix = "error: numerical: "

@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import Refused, Rejected
+from . import NumericalBreakdown, Rejected
 from .growth import (
     Model,
     ScanResult,
@@ -29,6 +29,7 @@ from .growth import (
     densities,
     exception_set_from_grid,
     geometric_grid,
+    pressure,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,14 +44,6 @@ _RIPPLE_AVERAGE_N = 4096
 
 class CharFnError(Rejected):
     """The finite-order guard of the example product refuses a level."""
-
-
-class NumericalBreakdown(Refused):
-    """The numerics failed on an input, not the mathematics: the integrand
-    left the float range, a root or a quadrature did not converge, or a
-    divisor point stayed on the circle."""
-
-    prefix = "error: numerical: "
 
 
 class PoleOnCircle(NumericalBreakdown):
@@ -211,11 +204,15 @@ def _ring_array(ring: Ring) -> np.ndarray:
 
 
 def _finite_float(x: Fraction, what: str) -> float:
-    """float(x), or a refusal that names `what` when x is past the float range."""
+    """float(x), or a refusal that names `what` when x is past the float
+    range or nonzero and rounds to 0."""
     try:
-        return float(x)
+        out = float(x)
+        if out != 0.0 or x == 0:
+            return out
     except OverflowError:
-        raise ValueError(f"{what} is outside the float range") from None
+        pass
+    raise ValueError(f"{what} is outside the float range")
 
 
 def _poly_floats(coeffs: Sequence[Fraction], what: str) -> np.ndarray:
@@ -951,7 +948,15 @@ def _proximity_prefix(
     """proximity_m over radii in order, up to the first radius that fails."""
     used, err = _off_poles(model, radii)
     means, mean_err = _means_prefix(model, used, tol_unit)
-    return means, (mean_err if len(means) < len(used) else err)
+    return means, _first_error((len(used), err), (len(means), mean_err))
+
+
+def _first_error(*columns: Tuple[int, Optional[Exception]]) -> Optional[Exception]:
+    """The error a scan in radius order meets first, of columns given as
+    (index of the radius where the column stops, its error or None): the
+    error of the smallest index, and at one index the one listed first."""
+    return min(((i, k, err) for k, (i, err) in enumerate(columns) if err is not None),
+               default=(0, 0, None))[2]
 
 
 def _characteristic_prefix(
@@ -1029,15 +1034,16 @@ def _shift_rows(
     shifted = Shifted(model, c)
     lhs_means, lhs_err = _proximity_prefix(shifted, radii, tol_unit)
     # the additive constants are the same quantities at the base radius
-    # r0 = 1 + 2|c|, the far grid's first radius; a scan meets r0 before any row
+    # r0 = 1 + 2|c|, the far grid's first radius, which a scan meets before
+    # any row: the far column's index k is row k - 1
     far = [1.0 + 2.0 * c_abs] + [r + c_abs for r in radii]
     far_means, far_err = _proximity_prefix(model, far[: len(lhs_means) + 1], tol_unit)
-    if not far_means:
-        raise far_err
-    done = radii[: len(far_means) - 1]
+    err = _first_error((len(lhs_means), lhs_err), (len(far_means) - 1, far_err))
+    done = radii[: len(far_means[1:])]
     # the poles, if any lie in the disc a little past r + |c|
     kinds = ["poles" if model.poles(r + c_abs + 1.0) else "zeros" for r in done]
-    # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f)
+    # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f);
+    # counted over the rows before the first error, whose refusals come first
     counts = {
         kind: (
             _counting_grid(shifted, done, kind),
@@ -1045,16 +1051,12 @@ def _shift_rows(
         )
         for kind in dict.fromkeys(kinds + ["poles"])
     }
+    if err is not None:
+        raise err
     const_t = far_means[0].value + counts["poles"][1][0]
     rows = []
-    for i, r in enumerate(radii):
-        # raise what a scan in radius order meets first
-        if i == len(lhs_means):
-            raise lhs_err
-        if i + 1 == len(far_means):
-            raise far_err
-        lhs_mean, far_mean = lhs_means[i], far_means[i + 1]
-        kind = kinds[i]
+    columns = zip(radii, kinds, lhs_means, far_means[1:])
+    for i, (r, kind, lhs_mean, far_mean) in enumerate(columns):
         (lhs_ns, base_ns), (lhs_ps, base_ps) = counts[kind], counts["poles"]
 
         lhs_n = lhs_ns[i]
@@ -1066,22 +1068,12 @@ def _shift_rows(
         main_t = _char_factor(c_abs, r) * far_t
         err_t = lhs_mean.error + _char_factor(c_abs, r) * far_mean.error
         used_t = lhs_t - main_t - const_t
-        rows.append(
-            ShiftCheckRow(
-                r=r,
-                c=c,
-                counting_kind=kind,
-                counting_lhs=lhs_n,
-                counting_main=main_n,
-                counting_slack_used=used_n,
-                counting_ok=used_n <= LOG2,
-                char_lhs=lhs_t,
-                char_main=main_t,
-                char_slack_used=used_t,
-                char_ok=used_t <= LOG2 + err_t,
-                quad_error=err_t,
-            )
-        )
+        rows.append(ShiftCheckRow(
+            r=r, c=c, counting_kind=kind, counting_lhs=lhs_n, counting_main=main_n,
+            counting_slack_used=used_n, counting_ok=used_n <= LOG2, char_lhs=lhs_t,
+            char_main=main_t, char_slack_used=used_t, char_ok=used_t <= LOG2 + err_t,
+            quad_error=err_t,
+        ))
     return rows
 
 
@@ -1134,41 +1126,36 @@ def verify_logdiff_bound(
     grid = geometric_grid(r_min, horizon, ratio)
     samples, t_err = _characteristic_prefix(model, grid, tol_unit)
     rhs_all = [logdiff_bound_rhs(s.T, r, c_abs, delta, eps) for s, r in zip(samples, grid)]
+    # the radii in the bound's domain, T(r) > e
+    kept = [i for i, rhs in enumerate(rhs_all) if rhs is not None]
+    pressures, p_err = [], None
+    for i in kept:
+        try:
+            pressures.append(pressure(grid[i], math.log(samples[i].T), eps))
+        except NumericalBreakdown as exc:
+            p_err = exc
+            break
     quotient = Quotient(Shifted(model, c), model)
-    m_means, m_err = _proximity_prefix(
-        quotient, [r for r, rhs in zip(grid, rhs_all) if rhs is not None], tol_unit
-    )
-    rows = []
-    skipped = []
-    failing = []
-    pressures = []
-    for i, r in enumerate(grid):
-        # raise what a scan in radius order, T before m, meets first
-        if i == len(samples):
-            raise t_err
-        rhs = rhs_all[i]
-        if rhs is None:
-            skipped.append(r)
-            failing.append(False)
-            continue
-        lt = math.log(samples[i].T)
-        pressures.append(math.log(r) ** (1.0 + eps) * lt / r)
-        if len(rows) == len(m_means):
-            raise m_err
-        lhs = m_means[len(rows)].value
-        rows.append(ScanRow(r, lhs, rhs, lhs <= rhs))
-        failing.append(not rows[-1].ok)
+    m_means, m_err = _proximity_prefix(quotient, [grid[i] for i in kept[: len(pressures)]],
+                                       tol_unit)
+    # each column's stop as a grid index; at one radius T comes first, then
+    # the pressure, then m
+    at = kept + [len(grid)]
+    err = _first_error((len(samples), t_err), (at[len(pressures)], p_err),
+                       (at[len(m_means)], m_err))
+    if err is not None:
+        raise err
+    rows = [ScanRow(grid[i], m.value, rhs_all[i], m.value <= rhs_all[i])
+            for i, m in zip(kept, m_means)]
+    failing = [False] * len(grid)
+    for i, row in zip(kept, rows):
+        failing[i] = not row.ok
+    skipped = [r for r, rhs in zip(grid, rhs_all) if rhs is None]
     es = exception_set_from_grid(grid, failing, horizon)
     rep = densities(es)
     hypothesis = decays(pressures)
-    return ScanResult(
-        rows=tuple(rows),
-        exceptions=es,
-        report=rep,
-        skipped=tuple(skipped),
-        window_divergent=hypothesis,
-        certified=hypothesis and rep.log_measure < math.inf,
-    )
+    return ScanResult(tuple(rows), es, rep, tuple(skipped), hypothesis,
+                      hypothesis and rep.log_measure < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1250,20 +1237,14 @@ def example_product_report(
     base, base_err = _characteristic_prefix(model, grid, tol_unit)
     shift, shift_err = _characteristic_prefix(shifted, grid[: len(base)], tol_unit)
     quot, quot_err = _proximity_prefix(Quotient(shifted, model), grid[: len(shift)], tol_unit)
-    # raise what the rows in order meet first, T(r, f) before T(r, f_c)
-    # before m(r, f_c/f): the first column that stops where the quotient does
-    for done, err in ((len(base), base_err), (len(shift), shift_err), (len(quot), quot_err)):
-        if done == len(quot) < len(grid):
-            raise err
+    # at one radius T(r, f) comes first, then T(r, f_c), then m(r, f_c/f)
+    err = _first_error((len(base), base_err), (len(shift), shift_err), (len(quot), quot_err))
+    if err is not None:
+        raise err
     return [
-        ProductWindowRow(
-            r=r,
-            t_base=t_base.T,
-            t_shifted=t_shift.T,
-            m_quotient=m_quot.value,
-            separation_ratio=m_quot.value / t_shift.T,
-            smallness_ratio=t_base.T / t_shift.T,
-        )
+        ProductWindowRow(r=r, t_base=t_base.T, t_shifted=t_shift.T, m_quotient=m_quot.value,
+                         separation_ratio=m_quot.value / t_shift.T,
+                         smallness_ratio=t_base.T / t_shift.T)
         for r, t_base, t_shift, m_quot in zip(grid, base, shift, quot)
     ]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import Rejected
+from . import NumericalBreakdown, Rejected
 
 E = math.e
 # the largest density of the exception set a certified scan may show
@@ -72,9 +72,6 @@ class PowerGrowth(GrowthFunction):
     def __init__(self, rho: float):
         self.rho = rho
 
-    def value(self, r: float) -> float:
-        return r**self.rho
-
     def log_value(self, r: float) -> float:
         return self.rho * math.log(r)
 
@@ -91,9 +88,6 @@ class ExpRootGrowth(GrowthFunction):
     def __init__(self, alpha: float):
         self.alpha = alpha
 
-    def value(self, r: float) -> float:
-        return math.exp(r**self.alpha)
-
     def log_value(self, r: float) -> float:
         return r**self.alpha
 
@@ -103,9 +97,6 @@ class ExpRootGrowth(GrowthFunction):
 
 
 class PureExpGrowth(GrowthFunction):
-    def value(self, r: float) -> float:
-        return math.exp(r)
-
     def log_value(self, r: float) -> float:
         return r
 
@@ -239,11 +230,24 @@ def phi(T: GrowthFunction, r: float) -> float:
 
 
 def phi_eps(T: GrowthFunction, eps: float, r: float) -> float:
-    """r / ((log log T(r))^(1+eps) * log T(r)); needs T(r) > e."""
+    """r / ((log log T(r))^(1+eps) * log T(r)); needs T(r) > e.  Refused where
+    the power leaves the float range (a quotient r / 0 included)."""
     lt = T.log_value(r)
     if lt <= 1.0:
         raise TooSmall(f"T({r:g}) <= e")
-    return r / (math.log(lt) ** (1.0 + eps) * lt)
+    try:
+        return r / (math.log(lt) ** (1.0 + eps) * lt)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalBreakdown(f"log-log window leaves the float range at r={r:g}") from None
+
+
+def pressure(r: float, lt: float, eps: float) -> float:
+    """(log r)^(1+eps) log T(r) / r from lt = log T(r): the slow-growth
+    hypothesis sends it to 0.  Refused where the power overflows."""
+    try:
+        return math.log(r) ** (1.0 + eps) * lt / r
+    except OverflowError:
+        raise NumericalBreakdown(f"slow-growth pressure overflows at r={r:g}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +334,10 @@ def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: fl
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     grid = geometric_grid(1.0, horizon, 1.01)
-    guard = 2.0 ** (1.0 / (1.0 - delta))
+    try:
+        guard = 2.0 ** (1.0 / (1.0 - delta))
+    except OverflowError:  # delta within 2^-10 of 1: no float window clears it
+        guard = math.inf
     # testable face of the hypothesis (log r)^(1+eps) log T(r) / r -> 0,
     # sampled wherever T(r) > e
     pressures: List[float] = []
@@ -340,7 +347,7 @@ def scan_windowed_shift(T: GrowthFunction, delta: float, eps: float, horizon: fl
             w = phi_eps(T, eps, r)
         except TooSmall:
             return None
-        pressures.append(math.log(r) ** (1.0 + eps) * T.log_value(r) / r)
+        pressures.append(pressure(r, T.log_value(r), eps))
         if w <= guard or w >= r:
             return None
         gap1 = T.log_value(r + w**delta) - T.log_value(r) - math.log1p(

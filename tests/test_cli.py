@@ -444,6 +444,26 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "parentheses nested deeper than 100 (at position 101)"),
         (["characteristic", "--model", "shift:1:" * 3000 + "expexp"],
          "more than 100 shift: wrappers"),
+        # a large eps: the slow-growth pressure overflows, the log-log window's
+        # power underflows to 0
+        (["logdiff-check", "--model", "exp:z", "--c", "1", "--eps", "1000", "--r-min", "10",
+          "--horizon", "1000"], "numerical: slow-growth pressure overflows at r=10\n"),
+        (["logdiff-check", "--model", "rational:{z^2-2}", "--c", "1", "--eps", "1000",
+          "--r-min", "10", "--horizon", "100"],
+         "numerical: slow-growth pressure overflows at r=10\n"),
+        (["growth-scan", "--growth", "power:5", "--variant", "logmeasure", "--delta", "0.5",
+          "--eps", "1000", "--horizon", "10000"],
+         "numerical: log-log window leaves the float range at r=1.23239\n"),
+        (["growth-scan", "--growth", "exproot:0.5", "--variant", "logmeasure", "--delta", "0.5",
+          "--eps", "400", "--horizon", "10000"],
+         "numerical: log-log window leaves the float range at r=1.01\n"),
+        # a nonzero shift constant that would round to 0
+        (["shift-check", "--model", "rational:{1}/{z-1}", "--c", f"1/{BIG}", "--r-min", "2",
+          "--r-max", "3"], "shift constant is outside the float range"),
+        (["characteristic", "--model", f"shift:1/{BIG}:expexp"],
+         "shift constant is outside the float range"),
+        (["characteristic", "--model", f"shift:2+1/{BIG}*i:expexp"],
+         "shift constant is outside the float range"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
