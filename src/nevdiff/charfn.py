@@ -222,7 +222,10 @@ def _poly_floats(coeffs: Sequence[Fraction], what: str) -> np.ndarray:
 
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Horner from the leading coefficient: for finite z, c * z is bit for
-    bit (0 * z + c) * z, so this is the loop started from zero."""
+    bit (0 * z + c) * z, so this is the loop started from zero.  No
+    coefficients is the zero polynomial."""
+    if not len(coeffs):
+        return 0.0 * z
     acc = coeffs[-1] * z + coeffs[-2] if len(coeffs) > 1 else 0.0 * z + coeffs[0]
     for c in coeffs[-3::-1]:
         acc = acc * z + c

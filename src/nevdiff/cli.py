@@ -199,18 +199,9 @@ def cmd_classify(cfg: RunConfig) -> int:
             return REJECTED
         violations = clunie.check_hypotheses(eq)
         if violations:
-            payload = {
-                "equation": to_canonical_text(eq),
-                "violations": list(violations),
-            }
-            if cfg.fmt == "json":
-                reports.append(payload)
-                worst = REJECTED
-                continue
-            _emit(
-                "rejected: hypotheses violated: " + ", ".join(violations) + "\n", cfg
-            )
-            return REJECTED
+            reports.append({"equation": to_canonical_text(eq), "violations": list(violations)})
+            worst = REJECTED
+            continue
         prof = clunie.degree_profile(eq)
         v = clunie.profile_verdict(prof, benchmark=clunie.is_benchmark(eq.lhs))
         adm = v.admissibility

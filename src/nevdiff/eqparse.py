@@ -18,14 +18,13 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import Refused, Rejected, diffpoly
 from .diffpoly import (
     DiffPolynomial,
     Shift,
     SymbolicCoeff,
-    constant_poly,
     normalize,
     shift_key,
 )
@@ -340,7 +339,8 @@ class _Parser:
         return t.kind == "IDENT" and t.text == "i"
 
     def _shift_literal(self, sign: int) -> Tuple[Fraction, Fraction]:
-        # after the mandatory sign inside "w(z...)"
+        # after the sign of its first part: the mandatory one inside "w(z...)",
+        # or the optional one of a shift constant
         if self._imag_unit():
             self.k += 1
             return Fraction(0), Fraction(sign)
@@ -599,7 +599,9 @@ def _canonical_shifts(ctx: _Ctx) -> Tuple[Tuple[Shift, ...], List[int]]:
 
 def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolynomial:
     """The normalized polynomial of `flat`, whose exponent maps are keyed by
-    appearance slot, with multi-indices in canonical slot order."""
+    appearance slot, with multi-indices in canonical slot order.  A symbolic
+    term's numeric factor is one: a brace anywhere sets off `_finish`'s
+    mixed-mode refusal first."""
     width = len(slots)
     terms = []
     for sign, sym, num, exps in flat:
@@ -607,8 +609,6 @@ def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolyn
         for slot, e in exps.items():
             idx[slots[slot]] = e
         if sym is not None:
-            if not num.is_one:
-                raise MixedMode("symbolic term carries a numeric factor")
             name, nonzero, _ = sym
             coeff: object = SymbolicCoeff(name, nonzero=nonzero, negated=sign < 0)
         else:
@@ -621,20 +621,33 @@ def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolyn
         raise SymbolicDuplicate(tuple(exc.index[slot] for slot in slots)) from None
 
 
-def _collect_symbols(flat, registry: Dict[str, int]) -> None:
-    for _, sym, _, _ in flat:
-        if sym is None:
-            continue
-        name, _, pos = sym
-        if name in registry:
-            raise DuplicateSymbolName(
-                f"coefficient name {name!r} is used more than once"
-            )
-        registry[name] = pos
-
-
 # ---------------------------------------------------------------------------
 # public entry points
+
+
+def _finish(parser: _Parser, expand_sides: Callable[[], List[list]]) -> List[DiffPolynomial]:
+    """The polynomials of the sides that `expand_sides` returns expanded,
+    called only once the parser has met the end of its input."""
+    trailing = parser.peek()
+    if trailing.kind != "END":
+        raise EquationSyntaxError("unexpected trailing input", trailing.pos)
+    flats = expand_sides()
+    ctx = parser.ctx
+    if ctx.symbolic_pos is not None and ctx.numeric_pos is not None:
+        raise MixedMode(
+            "symbolic and numeric coefficients in one equation "
+            f"(positions {ctx.symbolic_pos} and {ctx.numeric_pos})"
+        )
+    names = set()
+    for flat in flats:
+        for _, sym, _, _ in flat:
+            if sym is None:
+                continue
+            if sym[0] in names:
+                raise DuplicateSymbolName(f"coefficient name {sym[0]!r} is used more than once")
+            names.add(sym[0])
+    shifts, slots = _canonical_shifts(ctx)
+    return [_materialize(flat, shifts, slots) for flat in flats]
 
 
 def _bare_groups(poly: _RawPoly) -> List[_RawPoly]:
@@ -648,23 +661,28 @@ def _bare_groups(poly: _RawPoly) -> List[_RawPoly]:
     return [group for group, _, _ in term.groups]
 
 
-def _split_direct_product(poly: _RawPoly) -> Optional[Tuple[_RawPoly, _RawPoly]]:
-    # Accept `(U)*(P) = Q` when the left side is exactly two parenthesized
-    # groups and the first expands to a w-only polynomial.
-    groups = _bare_groups(poly)
-    if len(groups) != 2:
-        return None
-    g1, g2 = groups
-    first_flat = _expand(g1)
-    if any(any(slot != 0 for slot in exps) for _, _, _, exps in first_flat):
-        return None
-    return g1, g2
+_UNIT_FLAT = [(1, None, RZ_ONE, {})]
+
+
+def _equation_sides(lhs_raw: _RawPoly, num_raw: _RawPoly, den_raw: Optional[_RawPoly]):
+    """The expanded lhs, numerator and denominator, expanded in that order.
+    Without a denominator, a left side that is exactly `(U)*(P)` with U
+    expanding to a w-only polynomial reads as `(U)*(P) = Q`: U, expanded
+    first, is the denominator and P the lhs."""
+    if den_raw is not None:
+        return [_expand(lhs_raw), _expand(num_raw), _expand(den_raw)]
+    den_flat = _UNIT_FLAT
+    groups = _bare_groups(lhs_raw)
+    if len(groups) == 2:
+        first_flat = _expand(groups[0])
+        if not any(any(slot != 0 for slot in exps) for _, _, _, exps in first_flat):
+            den_flat, lhs_raw = first_flat, groups[1]
+    return [_expand(lhs_raw), _expand(num_raw), den_flat]
 
 
 def parse_equation(text: str) -> ClunieEquation:
     """Parse one equation; shifts are numbered in order of first appearance."""
-    ctx = _Ctx()
-    parser = _Parser(text, ctx)
+    parser = _Parser(text, _Ctx())
     lhs_raw = parser.parse_poly()
     parser.expect_op("=")
 
@@ -679,38 +697,10 @@ def parse_equation(text: str) -> ClunieEquation:
         parser.expect_op("(")
         den_raw = parser.parse_poly()
         parser.expect_op(")")
-    trailing = parser.peek()
-    if trailing.kind != "END":
-        raise EquationSyntaxError("unexpected trailing input", trailing.pos)
 
-    if den_raw is None:
-        split = _split_direct_product(lhs_raw)
-        if split is not None:
-            den_raw, lhs_raw = split
-
-    lhs_flat = _expand(lhs_raw)
-    num_flat = _expand(rhs_raw)
-    den_flat = _expand(den_raw) if den_raw is not None else None
-
-    if ctx.symbolic_pos is not None and ctx.numeric_pos is not None:
-        raise MixedMode(
-            "symbolic and numeric coefficients in one equation "
-            f"(positions {ctx.symbolic_pos} and {ctx.numeric_pos})"
-        )
-
-    registry: Dict[str, int] = {}
-    for flat in (lhs_flat, num_flat) + ((den_flat,) if den_flat is not None else ()):
-        _collect_symbols(flat, registry)
-
-    shifts, slots = _canonical_shifts(ctx)
-    lhs = _materialize(lhs_flat, shifts, slots)
-    numerator = _materialize(num_flat, shifts, slots)
-    denominator = (
-        _materialize(den_flat, shifts, slots)
-        if den_flat is not None
-        else constant_poly(RZ_ONE, shifts)
+    lhs, numerator, denominator = _finish(
+        parser, lambda: _equation_sides(lhs_raw, rhs_raw, den_raw)
     )
-
     if not numerator.is_plain() or not denominator.is_plain():
         raise ShiftInUQ("numerator and denominator must involve only w(z)")
     if numerator.is_empty:
@@ -722,15 +712,10 @@ def parse_equation(text: str) -> ClunieEquation:
 
 def parse_polynomial(text: str) -> DiffPolynomial:
     """Parse a lone difference polynomial (no '=')."""
-    ctx = _Ctx()
-    parser = _Parser(text, ctx)
+    parser = _Parser(text, _Ctx())
     raw = parser.parse_poly()
-    trailing = parser.peek()
-    if trailing.kind != "END":
-        raise EquationSyntaxError("unexpected trailing input", trailing.pos)
-    flat = _expand(raw)
-    shifts, slots = _canonical_shifts(ctx)
-    return _materialize(flat, shifts, slots)
+    (poly,) = _finish(parser, lambda: [_expand(raw)])
+    return poly
 
 
 def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
@@ -766,25 +751,29 @@ def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:
 # parse helpers for the model mini-language of `charfn`
 
 
-def parse_shift_constant(text: str) -> Tuple[Fraction, Fraction]:
-    """(re, im) of a shift literal such as `1`, `i`, `2+i` or `1/3-2/5*i`."""
-    parser = _Parser("w(z+" + text + ")", _Ctx())
-    parser.take()
-    parser._shift_suffix()
+def _spec_end(parser: _Parser, what: str, text: str) -> None:
     if parser.peek().kind != "END":
-        raise ValueError(f"trailing input in shift constant {text!r}")
-    return parser.ctx.shift_order[0]
+        raise ValueError(f"trailing input in {what} {text!r}")
+
+
+def parse_shift_constant(text: str) -> Tuple[Fraction, Fraction]:
+    """(re, im) of a shift literal such as `1`, `-i`, `2+i` or `1/3-2/5*i`."""
+    parser = _Parser(text, _Ctx())
+    re, im = parser._shift_literal(parser.take_sign() or 1)
+    _spec_end(parser, "shift constant", text)
+    if re == 0 and im == 0:
+        raise ZeroShift(f"shift constant {text!r} is zero; shifts must be nonzero")
+    return re, im
 
 
 def parse_zpoly(text: str) -> ZPoly:
     """An integer polynomial in z written as inside braces, e.g. `z^2-1`."""
-    parser = _Parser("{" + text + "}", _Ctx())
-    rf = parser._braced_ratfun()
-    if parser.peek().kind != "END":
-        raise ValueError(f"trailing input in polynomial {text!r}")
-    if rf.den != ZP_ONE:
+    parser = _Parser(text, _Ctx())
+    poly = parser._zexpr()
+    if parser.at_op("/"):
         raise ValueError("exponent polynomial cannot have a denominator")
-    return rf.num
+    _spec_end(parser, "polynomial", text)
+    return poly
 
 
 def parse_braced_quotient(text: str) -> Tuple[ZPoly, ZPoly]:
@@ -801,8 +790,7 @@ def parse_braced_quotient(text: str) -> Tuple[ZPoly, ZPoly]:
         if rf.den != ZP_ONE:
             raise ValueError("nested denominators in rational spec")
         den = rf.num
-    if parser.peek().kind != "END":
-        raise ValueError(f"trailing input in rational spec {text!r}")
+    _spec_end(parser, "rational spec", text)
     return num.num, zp_mul(den, num.den)
 
 
@@ -850,7 +838,7 @@ def _term_text(coeff, idx, shifts) -> Tuple[str, str]:
     sign = "-" if neg else "+"
     if mag.is_one and vars_:
         return sign, "*".join(vars_)
-    return sign, "*".join(["{" + mag.text() + "}"] + vars_)
+    return sign, "*".join([f"{{{mag.text()}}}"] + vars_)
 
 
 def poly_text(p: DiffPolynomial) -> str:

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nevdiff.cli import _COMMANDS, _CHOICES, _TYPES, _build_parser, main
 
@@ -464,6 +469,11 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "shift constant is outside the float range"),
         (["characteristic", "--model", f"shift:2+1/{BIG}*i:expexp"],
          "shift constant is outside the float range"),
+        # a lone polynomial is refused as the equation reader refuses it
+        (["enumerate", "--poly", "a*w(z+1)*w(z-1)+{2}*w(z+1)*w+c*w*w(z-1)"],
+         "error: symbolic and numeric coefficients in one equation (positions 0 and 16)\n"),
+        (["enumerate", "--poly", "a*w(z+1)*w(z-1)+a*w(z+1)*w+c*w*w(z-1)"],
+         "error: coefficient name 'a' is used more than once\n"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -756,3 +766,100 @@ def test_repeated_calls_share_no_state(capsys):
     assert warm == fresh
     assert warm[0] == warm[2] and warm[0][1].startswith("equation: ")
     assert json.loads(warm[1][1])["verdict"]["admissible"] is True
+
+
+def _csv_rows(out):
+    head, *rows = out.strip().splitlines()
+    return [dict(zip(head.split(","), row.split(","))) for row in rows]
+
+
+def test_shift_check_takes_signed_constants(capsys):
+    code, out, err = run(capsys, "shift-check", "--model", "rational:{1}/{z-1}",
+                         "--c=-1,-i", "--r-min", "3", "--r-max", "30")
+    assert (code, err) == (0, "")
+    assert {row["c"] for row in _csv_rows(out)} == {"(-1+0j)", "-1j"}
+
+
+def test_characteristic_of_a_negative_shift(capsys):
+    # log|f(z-1)| = Re e^(z-1) = Re e^z / e for f = exp(exp(z))
+    grid = ["--r-min", "3", "--r-max", "5", "--ratio", "1.1"]
+    code, out, _ = run(capsys, "characteristic", "--model", "shift:-1:expexp", *grid)
+    assert code == 0
+    shifted = _csv_rows(out)
+    code, out, _ = run(capsys, "characteristic", "--model", "expexp", *grid)
+    assert code == 0
+    plain = _csv_rows(out)
+    assert len(shifted) == len(plain) == 7
+    for a, b in zip(shifted, plain):
+        assert a["r"] == b["r"]
+        gap = abs(float(a["m"]) - float(b["m"]) / math.e)
+        assert gap <= float(a["err"]) + float(b["err"])
+
+
+@pytest.mark.parametrize("model", ["exp:0", "exp:z-z"])
+def test_exp_of_the_zero_polynomial_runs(capsys, model):
+    code, out, err = run(capsys, "characteristic", "--model", model,
+                         "--r-min", "3", "--r-max", "6")
+    assert (code, err) == (0, "")
+    rows = _csv_rows(out)
+    assert rows and all(row["m"] == row["N"] == row["T"] == "0" for row in rows)
+    for argv in (["shift-check", "--r-min", "3", "--r-max", "6"],
+                 ["logdiff-check", "--r-min", "3", "--horizon", "6"]):
+        code, _, err = run(capsys, *argv, "--model", model)
+        assert (code, err) == (0, "")
+
+
+def test_classify_text_reports_every_equation_past_a_violation(tmp_path, capsys):
+    path = tmp_path / "eqs.txt"
+    path.write_text("w(z+1)*w(z-1) = {z}*w\nw^2 = {1}\nw(z+1)+w(z-1) = {2}*w\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "classify", "--file", str(path))
+    assert code == 2
+    assert out.count("equation: ") == 3 and out.count("admissible: True") == 2
+    assert ("equation: w^2 = {1}\n"
+            "  rejected: unshifted-valuation-nonzero, unshifted-degree-equals-total\n") in out
+    code, out, _ = run(capsys, "classify", "--json", "--file", str(path))
+    assert code == 2 and len(json.loads(out)) == 3
+
+
+_CONSTANTS = ["0", "1", "-1", "i", "-i", "2+i", "1/2", "-1/2*i", "1e3"]
+_POLYS = ["0", "z-z", "z", "-z", "z^2+3*z", "1", "z-1"]
+
+
+@st.composite
+def _model_spec(draw):
+    kind = draw(st.sampled_from(["exp", "rational", "product"]))
+    if kind == "exp":
+        spec = "exp:" + draw(st.sampled_from(_POLYS))
+    elif kind == "rational":
+        spec = f"rational:{{{draw(st.sampled_from(_POLYS))}}}/{{{draw(st.sampled_from(_POLYS))}}}"
+    else:
+        spec = f"product:s={draw(st.integers(1, 2))}"
+    for c in draw(st.lists(st.sampled_from(_CONSTANTS), max_size=2)):
+        spec = f"shift:{c}:{spec}"
+    return spec
+
+
+@st.composite
+def _spec_argv(draw):
+    sub = draw(st.sampled_from(["characteristic", "shift-check", "logdiff-check"]))
+    argv = [sub, "--model", draw(_model_spec())]
+    r_min = draw(st.sampled_from([1.5, 3.0, 10.0]))
+    top = r_min * 1.5 ** draw(st.integers(0, 8))
+    argv += ["--r-min", repr(r_min), "--ratio", "1.5",
+             "--horizon" if sub == "logdiff-check" else "--r-max", repr(top)]
+    if sub != "characteristic":
+        argv.append("--c=" + ",".join(draw(st.lists(st.sampled_from(_CONSTANTS),
+                                                     min_size=1, max_size=2))))
+    return argv
+
+
+@given(_spec_argv())
+@settings(max_examples=60, deadline=None)
+def test_model_specs_end_in_a_report_or_one_error_line(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", f"{tmp}/report.csv"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()

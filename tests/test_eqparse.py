@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nevdiff import diffpoly as dp
+from nevdiff.diffpoly import Shift
 from nevdiff.eqparse import (
     Z_DEGREE_CAP,
     CommonFactor,
@@ -24,6 +26,7 @@ from nevdiff.eqparse import (
     parse_polynomial,
     parse_shift_constant,
     parse_zpoly,
+    shift_text,
     to_canonical_text,
     validate_no_common_factors,
 )
@@ -318,3 +321,64 @@ def test_model_language_helpers():
             parse_shift_constant(junk)
     with pytest.raises(ZeroShift):
         parse_shift_constant("0")
+
+
+_PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@given(_PARTS, _PARTS)
+@example(Fraction(-1), Fraction(0))
+@example(Fraction(0), Fraction(-1))
+@settings(max_examples=200)
+def test_shift_constants_of_either_sign_round_trip(re_part, im_part):
+    if re_part == 0 and im_part == 0:
+        return
+    # shift_text writes w(z+c) or w(z-c); the constant is c with its sign
+    text = shift_text(Shift(re_part, im_part, 1))[3:-1]
+    assert parse_shift_constant(text) == (re_part, im_part)
+
+
+_AT = re.compile(r"\(at position (\d+)\)")
+
+
+@given(st.text(alphabet="0123456789+-*/^(){}zi.!=wx ", max_size=30))
+@example("")
+@example("+")
+@example("z+")
+@settings(max_examples=300)
+def test_spec_reader_positions_point_into_the_text(text):
+    for reader in (parse_shift_constant, parse_zpoly, parse_braced_quotient):
+        try:
+            reader(text)
+        except (ParseError, ValueError) as exc:
+            for k in _AT.findall(str(exc)):
+                assert 0 <= int(k) <= len(text), (reader.__name__, text, str(exc))
+
+
+def test_spec_readers_read_the_users_text():
+    assert parse_shift_constant("-1") == (Fraction(-1), Fraction(0))
+    assert parse_shift_constant("-i") == (Fraction(0), Fraction(-1))
+    assert parse_shift_constant("-1/2*i") == (Fraction(0), Fraction(-1, 2))
+    assert parse_shift_constant("+2-i") == (Fraction(2), Fraction(-1))
+    with pytest.raises(ZeroShift, match="shift constant '-0' is zero"):
+        parse_shift_constant("-0")
+    with pytest.raises(EquationSyntaxError, match=r"expected a number \(at position 1\)"):
+        parse_shift_constant("--1")
+    with pytest.raises(EquationSyntaxError, match=r"\(at position 2\)"):
+        parse_zpoly("z+")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("a*w(z+1)*w(z-1)+{2}*w(z+1)*w+c*w*w(z-1)", MixedMode,
+     "symbolic and numeric coefficients in one equation (positions 0 and 16)"),
+    ("a*{2}*w", MixedMode, "symbolic and numeric coefficients in one equation (positions 0 and 2)"),
+    ("a*w(z+1)+a*w", DuplicateSymbolName, "coefficient name 'a' is used more than once"),
+    ("a*w*(w+w(z+1))", DuplicateSymbolName, "coefficient name 'a' is used more than once"),
+])
+def test_polynomial_reader_refuses_as_the_equation_reader(text, error, message):
+    with pytest.raises(error) as info:
+        parse_polynomial(text)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        parse_equation(text + " = w")
+    assert str(info.value) == message
