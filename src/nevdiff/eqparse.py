@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import Refused, Rejected, diffpoly
 from .diffpoly import (
@@ -599,9 +599,7 @@ def _canonical_shifts(ctx: _Ctx) -> Tuple[Tuple[Shift, ...], List[int]]:
 
 def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolynomial:
     """The normalized polynomial of `flat`, whose exponent maps are keyed by
-    appearance slot, with multi-indices in canonical slot order.  A symbolic
-    term's numeric factor is one: a brace anywhere sets off `_finish`'s
-    mixed-mode refusal first."""
+    appearance slot, with multi-indices in canonical slot order."""
     width = len(slots)
     terms = []
     for sign, sym, num, exps in flat:
@@ -609,6 +607,9 @@ def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolyn
         for slot, e in exps.items():
             idx[slots[slot]] = e
         if sym is not None:
+            # like numeric terms merged inside a group, as in a*(w*(w+w))
+            if not num.is_one:
+                raise MixedMode("symbolic term carries a numeric factor")
             name, nonzero, _ = sym
             coeff: object = SymbolicCoeff(name, nonzero=nonzero, negated=sign < 0)
         else:
@@ -625,14 +626,14 @@ def _materialize(flat, shifts: Tuple[Shift, ...], slots: List[int]) -> DiffPolyn
 # public entry points
 
 
-def _finish(parser: _Parser, expand_sides: Callable[[], List[list]]) -> List[DiffPolynomial]:
-    """The polynomials of the sides that `expand_sides` returns expanded,
-    called only once the parser has met the end of its input."""
+def _end_of_input(parser: _Parser) -> None:
     trailing = parser.peek()
     if trailing.kind != "END":
         raise EquationSyntaxError("unexpected trailing input", trailing.pos)
-    flats = expand_sides()
-    ctx = parser.ctx
+
+
+def _finish(ctx: _Ctx, flats: List[list]) -> List[DiffPolynomial]:
+    """The polynomials of the expanded sides `flats`."""
     if ctx.symbolic_pos is not None and ctx.numeric_pos is not None:
         raise MixedMode(
             "symbolic and numeric coefficients in one equation "
@@ -698,9 +699,8 @@ def parse_equation(text: str) -> ClunieEquation:
         den_raw = parser.parse_poly()
         parser.expect_op(")")
 
-    lhs, numerator, denominator = _finish(
-        parser, lambda: _equation_sides(lhs_raw, rhs_raw, den_raw)
-    )
+    _end_of_input(parser)
+    lhs, numerator, denominator = _finish(parser.ctx, _equation_sides(lhs_raw, rhs_raw, den_raw))
     if not numerator.is_plain() or not denominator.is_plain():
         raise ShiftInUQ("numerator and denominator must involve only w(z)")
     if numerator.is_empty:
@@ -714,7 +714,8 @@ def parse_polynomial(text: str) -> DiffPolynomial:
     """Parse a lone difference polynomial (no '=')."""
     parser = _Parser(text, _Ctx())
     raw = parser.parse_poly()
-    (poly,) = _finish(parser, lambda: [_expand(raw)])
+    _end_of_input(parser)
+    (poly,) = _finish(parser.ctx, [_expand(raw)])
     return poly
 
 

@@ -374,6 +374,10 @@ def test_spec_readers_read_the_users_text():
     ("a*{2}*w", MixedMode, "symbolic and numeric coefficients in one equation (positions 0 and 2)"),
     ("a*w(z+1)+a*w", DuplicateSymbolName, "coefficient name 'a' is used more than once"),
     ("a*w*(w+w(z+1))", DuplicateSymbolName, "coefficient name 'a' is used more than once"),
+    # no brace, but a nested group merges w+w into {2}*w
+    ("a*(w*(w+w))", MixedMode, "symbolic term carries a numeric factor"),
+    ("a*(w*(w-w-w))", MixedMode, "symbolic term carries a numeric factor"),
+    ("a*(w*(w-w))", MixedMode, "symbolic term carries a numeric factor"),
 ])
 def test_polynomial_reader_refuses_as_the_equation_reader(text, error, message):
     with pytest.raises(error) as info:

@@ -153,8 +153,41 @@ def _scan_argv(draw):
     return head + ["--delta", repr(delta), "--eps", repr(eps), "--horizon", repr(horizon)]
 
 
-@given(_scan_argv())
-@settings(max_examples=60, deadline=None)
+_CONSTANTS = ["0", "1", "-1", "i", "-i", "2+i", "1/2", "-1/2*i", "1e3"]
+_POLYS = ["0", "z-z", "z", "-z", "z^2+3*z", "1", "z-1"]
+
+
+@st.composite
+def _model_spec(draw):
+    kind = draw(st.sampled_from(["exp", "rational", "product"]))
+    if kind == "exp":
+        spec = "exp:" + draw(st.sampled_from(_POLYS))
+    elif kind == "rational":
+        spec = f"rational:{{{draw(st.sampled_from(_POLYS))}}}/{{{draw(st.sampled_from(_POLYS))}}}"
+    else:
+        spec = f"product:s={draw(st.integers(1, 2))}"
+    for c in draw(st.lists(st.sampled_from(_CONSTANTS), max_size=2)):
+        spec = f"shift:{c}:{spec}"
+    return spec
+
+
+@st.composite
+def _spec_argv(draw):
+    sub = draw(st.sampled_from(["characteristic", "shift-check", "logdiff-check"]))
+    argv = [sub, "--model", draw(_model_spec())]
+    r_min = draw(st.sampled_from([1.5, 3.0, 10.0]))
+    top = r_min * 1.5 ** draw(st.integers(0, 8))
+    argv += ["--r-min", repr(r_min), "--ratio", "1.5",
+             "--horizon" if sub == "logdiff-check" else "--r-max", repr(top)]
+    if sub != "characteristic":
+        argv.append("--c=" + ",".join(draw(st.lists(st.sampled_from(_CONSTANTS),
+                                                     min_size=1, max_size=2))))
+    return argv
+
+
+# model specs, signed shift constants and the zero polynomial included
+@given(st.one_of(_scan_argv(), _spec_argv()))
+@settings(max_examples=120, deadline=None)
 def test_scan_parameters_end_in_a_report_or_one_error_line(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
