@@ -12,8 +12,6 @@ file, numerical breakdown: `nevdiff.Refused`), 2 mathematical rejection
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from typing import Iterable, List, NamedTuple, Optional, Sequence
@@ -103,44 +101,41 @@ _TYPES = {name: type(default) for name, default in RunConfig._field_defaults.ite
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _coerce(name: str, value: str):
-    """A config line's text as its field's type, refused in argparse's words."""
+def _coerce(name: str, value: str, what: str, choices: Optional[tuple] = None):
+    """A flag's or config line's text as its field's type; a refusal names `what`."""
     kind = _TYPES.get(name, str)
     if kind is bool:
         if value.lower() not in _BOOLS:
             raise ValueError(f"{name} must be one of {', '.join(_BOOLS)}, got {value!r}")
         return _BOOLS[value.lower()]
-    choices = _CHOICES.get(name, (value,))
+    choices = choices or _CHOICES.get(name, (value,))
     if value not in choices:
-        raise ValueError(f"{name}: invalid choice: {value!r} "
+        raise ValueError(f"{what}: invalid choice: {value!r} "
                          f"(choose from {', '.join(map(repr, choices))})")
-    return _convert(kind, value, name)
+    return _convert(kind, value, what)
 
 
 def _convert(kind: type, text: str, what: str):
-    """`kind(text)`, refused in argparse's words with `what` named."""
+    """`kind(text)`, refused with `what` named."""
     try:
         return kind(text)
     except ValueError:
         raise ValueError(f"{what}: invalid {kind.__name__} value: {text!r}") from None
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    layers = [_read_config_file(args.config)] if args.config else []
-    layers.append({
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("subcommand", "config") and v is not None
-    })
-    merged, taken = {}, _COMMANDS[args.subcommand][2] + _COMMON + ("fmt",)
+def _resolve(args: dict) -> RunConfig:
+    sub, path = args.pop("subcommand"), args.pop("config", None)
+    layers = [_read_config_file(path)] if path else []
+    layers.append(args)
+    merged, taken = {}, _COMMANDS[sub][2] + _COMMON + ("fmt",)
     for layer in layers:
         for key, value in layer.items():
             if key not in RunConfig._fields or key == "subcommand":
                 raise ValueError(f"unknown config key {key!r}")
             if key not in taken:
-                raise ValueError(f"{args.subcommand} takes no config key {key!r}")
-            merged[key] = _coerce(key, value) if isinstance(value, str) else value
-    cfg = RunConfig(args.subcommand, **merged)
+                raise ValueError(f"{sub} takes no config key {key!r}")
+            merged[key] = _coerce(key, value, key) if isinstance(value, str) else value
+    cfg = RunConfig(sub, **merged)
     for name, value in zip(cfg._fields, cfg):
         if isinstance(value, float) and not abs(value) < float("inf"):  # nan too
             raise ValueError(f"{name} must be finite, got {value}")
@@ -191,15 +186,18 @@ def _equations_from(cfg: RunConfig) -> List[ClunieEquation]:
 def cmd_classify(cfg: RunConfig) -> int:
     reports = []
     worst = OK
-    for eq in _equations_from(cfg):
+    equations = _equations_from(cfg)
+    for eq in equations:
         try:
             eq = validate_no_common_factors(eq)
-        except Rejected as exc:  # a common factor
-            _emit(f"rejected: {exc}\n", cfg)
-            return REJECTED
-        violations = clunie.check_hypotheses(eq)
-        if violations:
-            reports.append({"equation": to_canonical_text(eq), "violations": list(violations)})
+            entry = {"violations": list(clunie.check_hypotheses(eq))}
+        except Rejected as exc:  # a common factor: its own entry, but for a lone equation
+            if len(equations) == 1:
+                _emit(f"rejected: {exc}\n", cfg)
+                return REJECTED
+            entry = {"rejected": str(exc)}
+        if any(entry.values()):
+            reports.append({"equation": to_canonical_text(eq)} | entry)
             worst = REJECTED
             continue
         prof = clunie.degree_profile(eq)
@@ -224,8 +222,9 @@ def cmd_classify(cfg: RunConfig) -> int:
         lines = []
         for payload in reports:
             lines.append(f"equation: {payload['equation']}")
-            if "violations" in payload:
-                lines.append("  rejected: " + ", ".join(payload["violations"]))
+            if "profile" not in payload:
+                lines.append("  rejected: " + ", ".join(payload.get("violations")
+                                                        or [payload["rejected"]]))
                 continue
             prof = payload["profile"]
             verd = payload["verdict"]
@@ -392,20 +391,11 @@ def cmd_characteristic(cfg: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-
-class _Parser(argparse.ArgumentParser):
-    """Refuses arguments with a ValueError, which main reports as one
-    `error: <subcommand>: ...` line, instead of usage lines and exit 2."""
-
-    def error(self, message: str):
-        sub = self.prog.partition(" ")[2]
-        raise ValueError(f"{sub}: {message}" if sub else message)
+# argument reading
 
 
 # subcommand -> (handler, help, its fields besides the _COMMON ones, which
-# every subcommand takes); the parser, _resolve and main read it
+# every subcommand takes); _read_argv, _resolve and main read it
 _COMMANDS = {
     "classify": (cmd_classify, "degree profile and verdict for equations", ("eq", "file")),
     "enumerate": (cmd_enumerate, "all admissible equation families", ("poly",)),
@@ -428,6 +418,7 @@ _COMMON = ("config", "out", "dry_run", "tol_unit")
 _FLAGS = {"c_list": "--c", "growth_spec": "--growth", "big_k": "--K"}
 _REQUIRED = ("model", "growth_spec")
 _CHOICES = {"variant": ("density", "logmeasure", "fixed")}
+_TOGGLES = {"--json": "json", "--dry-run": True}  # the flags with no value -> what they set
 _HELP = {
     "config": "key = value config file",
     "out": "write the report to this path",
@@ -437,42 +428,71 @@ _HELP = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    # no prefix matching: an unknown flag is an error, never a longer one
-    top = _Parser(
-        prog="nevdiff",
-        description="degree classification and numerical growth checks for "
-        "shift-polynomial equations",
-        allow_abbrev=False,
-    )
-    sub = top.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help, fields) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        if name in _FORMATTED:
-            p.add_argument("--format", dest="fmt", default=None, choices=["text", "json"])
-            p.add_argument("--json", dest="fmt", action="store_const", const="json")
-        for field in fields + _COMMON:
-            kind = _TYPES.get(field, str)
-            how = ({"action": "store_true"} if kind is bool
-                   else {"type": kind, "choices": _CHOICES.get(field)})
-            p.add_argument(_FLAGS.get(field, "--" + field.replace("_", "-")), dest=field,
-                           default=None, required=field in _REQUIRED, help=_HELP.get(field), **how)
-    return top
+def _flags(sub: str) -> dict:
+    """A subcommand's flags, flag -> (field, choices), in its help's order."""
+    fmt = ({"--format": ("fmt", ("text", "json")), "--json": ("fmt", None)}
+           if sub in _FORMATTED else {})
+    return fmt | {_FLAGS.get(f, "--" + f.replace("_", "-")): (f, _CHOICES.get(f))
+                  for f in _COMMANDS[sub][2] + _COMMON}
+
+
+def _usage(sub: Optional[str]) -> str:
+    """The --help text: every subcommand, or one subcommand's flags."""
+    rows = [(name, help) for name, (_, help, _) in _COMMANDS.items()]
+    if sub:
+        rows = [(flag if flag in _TOGGLES else f"{flag} {'|'.join(choices or [field.upper()])}",
+                 "required" if field in _REQUIRED else _HELP.get(field, ""))
+                for flag, (field, choices) in _flags(sub).items()]
+    return f"usage: nevdiff {sub or '<subcommand>'} [flags]\n\n" + "".join(
+        f"  {a:<24} {b}".rstrip() + "\n" for a, b in rows + [("-h, --help", "show this help")])
+
+
+def _read_argv(argv: Sequence[str]) -> dict:
+    """argv as {"subcommand": name, field: value}, or {"help": text}.  A flag's
+    value follows `=` or is the next argument, whatever it is, and is converted
+    as it is read: the first bad value is refused, then a missing required
+    flag, then the unknown arguments."""
+    head = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+    sub, extra, words = (argv[head:] or [None])[0], list(argv[:head]), iter(argv[head + 1:])
+    if {"-h", "--help"} & set(argv):
+        return {"help": _usage(sub if sub in _COMMANDS else None)}
+    if sub not in _COMMANDS:
+        raise ValueError("the following arguments are required: subcommand" if sub is None else
+                         f"argument subcommand: invalid choice: {sub!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    flags, args = _flags(sub), {"subcommand": sub}
+    for word in words:
+        flag, eq, text = word.partition("=")
+        (field, choices), what = flags.get(flag, (None, None)), f"{sub}: argument {flag}"
+        if field is None:
+            extra.append(word)
+        elif flag in _TOGGLES:
+            if eq:
+                raise ValueError(f"{what}: ignored explicit argument {text!r}")
+            args[field] = _TOGGLES[flag]
+        elif eq or (text := next(words, None)) is not None:
+            args[field] = _coerce(field, text, what, choices)
+        else:
+            raise ValueError(f"{what}: expected one argument")
+    missing = [f for f, (field, _) in flags.items() if field in _REQUIRED and field not in args]
+    if missing:
+        raise ValueError(f"{sub}: the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise ValueError(f"{sub}: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args, extra = _build_parser().parse_known_args(argv)
-        if extra:
-            raise ValueError(f"{args.subcommand}: unrecognized arguments: {' '.join(extra)}")
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if "help" in args:
+            sys.stdout.write(args["help"])
+            return OK
         cfg = _resolve(args)
         if cfg.dry_run:
             sys.stdout.write(cfg.dump())
             return OK
         return _COMMANDS[cfg.subcommand][0](cfg)
-    except SystemExit as exc:  # --help
-        return OK if exc.code in (0, None) else OPERATIONAL_ERROR
     except (Refused, Rejected) as exc:
         sys.stderr.write(f"{exc.prefix}{exc}\n")
         return exc.exit_code

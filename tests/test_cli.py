@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nevdiff.cli import _COMMANDS, _CHOICES, _TYPES, _build_parser, main
+from nevdiff.cli import _COMMANDS, _CHOICES, _TYPES, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +166,16 @@ def test_symbolic_modules_import_without_numpy():
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
+def test_cli_imports_no_argument_parser():
+    # building argparse parsers cost every run more than its flags' reading
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nevdiff.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_simpson_overflow_is_one_error_line():
     # log|exp(e^z)| = e^{r cos t} cos(r sin t) is finite at r = 709.5, but the
     # Simpson sums of it overflow: no numpy warning may reach stderr
@@ -222,22 +231,45 @@ SURFACE = {
 }
 
 
-def test_subcommand_table_builds_the_recorded_flags():
-    subs = next(a for a in _build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    built = {
-        name: [_opt(a.option_strings[0], a.dest,
-                    a.type.__name__ if a.type not in (None, str) else None,
-                    a.required, a.choices and tuple(a.choices))
-               for a in p._actions if a.dest != "help"]
-        for name, p in subs.choices.items()
-    }
-    assert list(built.items()) == list(SURFACE.items())
+def test_subcommand_table_builds_the_recorded_flags(tmp_path, capsys):
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("", encoding="utf-8")
+    for sub, opts in SURFACE.items():
+        required = [a for opt, _, _, req, _ in opts if req for a in (opt, "exp")]
+        assert run(capsys, sub, *required, "--dry-run")[0] == 0
+        code, out, err = run(capsys, sub, "--help")
+        assert (code, err) == (0, "")
+        assert re.findall(r"(?<![\w-])--[\w-]+", out) == [o[0] for o in opts] + ["--help"]
+        for opt, dest, kind, req, choices in opts:
+            value = (str(empty) if opt == "--config" else choices[-1] if choices
+                     else {"float": "2.5", "int": "3", None: "x"}[kind])
+            toggle = opt in ("--json", "--dry-run")
+            got = run(capsys, sub, *required, *([opt] if toggle else [opt, value]), "--dry-run")
+            shown = {"--json": "json", "--dry-run": "True", "--config": None}.get(opt, value)
+            assert got[0] == 0, opt
+            assert shown is None or f"{dest} = {shown}" in got[1].splitlines(), opt
+            bad = {"float": "abc", "int": "2.5"}.get(kind)
+            if bad:
+                assert run(capsys, sub, *required, opt, bad)[1:] == (
+                    "", f"error: {sub}: argument {opt}: invalid {kind} value: '{bad}'\n")
+            if choices:
+                listed = ", ".join(map(repr, choices))
+                assert run(capsys, sub, *required, opt, "nosuch")[1:] == ("", (
+                    f"error: {sub}: argument {opt}: invalid choice: 'nosuch' "
+                    f"(choose from {listed})\n"))
+            if req:
+                assert run(capsys, sub, "--dry-run") == (
+                    1, "", f"error: {sub}: the following arguments are required: {opt}\n")
+        # a flag of another subcommand
+        flags = {o[0] for o in opts}
+        for other in sorted({o[0] for each in SURFACE.values() for o in each} - flags):
+            assert run(capsys, sub, *required, other, "1") == (
+                1, "", f"error: {sub}: unrecognized arguments: {other} 1\n")
 
 
 @pytest.mark.parametrize("sub, field", [
     (sub, field) for sub, (_, _, fields) in _COMMANDS.items() for field in fields
-    if field not in ("model", "growth_spec")  # argparse wants these as flags
+    if field not in ("model", "growth_spec")  # required: these must be flags
 ])
 def test_flag_and_config_line_resolve_alike(tmp_path, capsys, sub, field):
     flag = next(opt for opt, dest, *_ in SURFACE[sub] if dest == field)
@@ -248,6 +280,7 @@ def test_flag_and_config_line_resolve_alike(tmp_path, capsys, sub, field):
     cfg.write_text(f"{field} = {value}\n", encoding="utf-8")
     by_flag = run(capsys, *argv, flag, value, "--dry-run")
     assert by_flag == run(capsys, *argv, "--config", str(cfg), "--dry-run")
+    assert by_flag == run(capsys, *argv, f"{flag}={value}", "--dry-run")
     assert by_flag[0] == 0 and f"{field} = {value}" in by_flag[1].splitlines()
 
 
@@ -508,6 +541,20 @@ def test_unknown_flags_exit_one(capsys, argv, flag):
          "'fixed')"),
         (["logdiff-check", "--model", "exp:z", "--delta", "abc"],
          "argument --delta: invalid float value: 'abc'"),
+        (["shift-check", "--model", "expexp", "--dry-run=1"],
+         "argument --dry-run: ignored explicit argument '1'"),
+        (["classify", "--eq", BENCH_EQ, "--json="],
+         "argument --json: ignored explicit argument ''"),
+        (["shift-check", "--model", "expexp", "--c"], "argument --c: expected one argument"),
+        (["classify", "--format", "yaml"],
+         "argument --format: invalid choice: 'yaml' (choose from 'text', 'json')"),
+        # the first bad value in argv, before a missing flag or an unknown one
+        (["logdiff-check", "--hor", "10", "--delta", "abc", "--ratio", "x"],
+         "argument --delta: invalid float value: 'abc'"),
+        (["logdiff-check", "--hor", "10", "--dry-run"],
+         "the following arguments are required: --model"),
+        # a flag's value is the next argument, whatever it is
+        (["shift-check", "--model", "--c", "1"], "unrecognized arguments: 1"),
     ],
 )
 def test_argparse_refusals_are_one_error_line(capsys, argv, message):
@@ -515,6 +562,21 @@ def test_argparse_refusals_are_one_error_line(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {argv[0]}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: subcommand"),
+        (["--dry-run"], "the following arguments are required: subcommand"),
+        (["nosuch"], "argument subcommand: invalid choice: 'nosuch' (choose from 'classify', "
+         "'enumerate', 'reduce', 'shift-check', 'logdiff-check', 'growth-scan', "
+         "'product-example', 'polechain', 'characteristic')"),
+        (["--js", "reduce", "--dry-run"], "reduce: unrecognized arguments: --js"),
+    ],
+)
+def test_refusals_before_the_subcommand(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_json_format_from_config_only_where_there_is_a_json_report(tmp_path, capsys):
@@ -749,16 +811,10 @@ def test_byte_identical_reports(tmp_path, capsys):
 
 
 def test_repeated_calls_share_no_state(capsys):
-    # The parser is built once per process; a flag of one call must not
-    # reach the next.
+    # a flag of one call must not reach the next
     a = ["classify", "--eq", "w(z+1)*w(z-1)+w(z+1)*w+w*w(z-1) = ({z^2}*w^2+{1})/(w+{z})"]
     b = ["classify", "--json", "--eq", BENCH_EQ]
     warm = [run(capsys, *argv) for argv in (a, b, a)]
-    fresh = []
-    for argv in (a, b, a):
-        _build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert warm == fresh
     assert warm[0] == warm[2] and warm[0][1].startswith("equation: ")
     assert json.loads(warm[1][1])["verdict"]["admissible"] is True
 
@@ -769,10 +825,12 @@ def _csv_rows(out):
 
 
 def test_shift_check_takes_signed_constants(capsys):
-    code, out, err = run(capsys, "shift-check", "--model", "rational:{1}/{z-1}",
-                         "--c=-1,-i", "--r-min", "3", "--r-max", "30")
-    assert (code, err) == (0, "")
-    assert {row["c"] for row in _csv_rows(out)} == {"(-1+0j)", "-1j"}
+    # a flag's value is the next argument, whatever it is
+    for shifts in (["--c=-1,-i"], ["--c", "-1,-i"], ["--c", "-i,-1"]):
+        code, out, err = run(capsys, "shift-check", "--model", "rational:{1}/{z-1}",
+                             *shifts, "--r-min", "3", "--r-max", "30")
+        assert (code, err) == (0, "")
+        assert {row["c"] for row in _csv_rows(out)} == {"(-1+0j)", "-1j"}
 
 
 def test_characteristic_of_a_negative_shift(capsys):
@@ -818,4 +876,15 @@ def test_classify_text_reports_every_equation_past_a_violation(tmp_path, capsys)
     code, out, _ = run(capsys, "classify", "--eq", "w^2 = {1}")
     assert (code, out) == (2, "equation: w^2 = {1}\n"
                               "  rejected: unshifted-valuation-nonzero, unshifted-degree-equals-total\n")
+    # a shared factor ends no run of several equations: it is one more entry
+    path.write_text("w(z+1)*w(z-1) = {z}*w\nw*w(z+1) = ({1}*w^2-{1})/(w+{1})\n"
+                    "w(z+1)+w(z-1) = {2}*w\n", encoding="utf-8")
+    shared = "numerator and denominator share a factor of degree 1 in w"
+    code, out, _ = run(capsys, "classify", "--file", str(path))
+    assert code == 2 and out.count("equation: ") == 3 and out.count("admissible: True") == 2
+    assert f"equation: w*w(z+1) = (w^2-{{1}})/(w+{{1}})\n  rejected: {shared}\n" in out
+    code, out, _ = run(capsys, "classify", "--json", "--file", str(path))
+    reports = json.loads(out)
+    assert code == 2 and len(reports) == 3
+    assert reports[1] == {"equation": "w*w(z+1) = (w^2-{1})/(w+{1})", "rejected": shared}
 
