@@ -93,14 +93,6 @@ class MeromorphicModel(Model):
         by -offset, points in no particular order."""
         return [], ()
 
-    # Fraction hashing is slow, and scans look models up by hash per radius
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key())
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @cached_property
     def _blocks(self) -> Dict[str, Divisor]:
         return {kind: self.divisor_blocks(kind) for kind in _KINDS}
@@ -267,10 +259,6 @@ class RationalFn(MeromorphicModel):
     def label(self) -> str:
         return f"rational:{{{_poly_text_frac(self.num)}}}/{{{_poly_text_frac(self.den)}}}"
 
-    @property
-    def degree(self) -> int:
-        return max(_frac_degree(self.num), _frac_degree(self.den))
-
     @cached_property
     def _roots(self) -> Tuple[Tuple[Tuple[complex, int], ...], ...]:
         """(zeros, poles) as clustered (point, multiplicity) pairs."""
@@ -285,14 +273,6 @@ class RationalFn(MeromorphicModel):
 
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         return [(z - offset, m) for z, m in self._roots[_KINDS.index(kind)]], ()
-
-
-def _frac_degree(coeffs: Sequence[Fraction]) -> int:
-    deg = -1
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            deg = k
-    return deg
 
 
 def _cleared(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
@@ -501,14 +481,13 @@ _CHUNK_ROWS = 15
 MeansPrefix = Tuple[List[CircleMean], Optional[NumericalBreakdown]]
 
 
-def circle_means(
+def _means_prefix(
     model: MeromorphicModel,
     radii: Sequence[float],
-    *,
     tol_unit: float,
     base_panels: int = 64,
     max_panels: int = 400_000,
-) -> List[CircleMean]:
+) -> MeansPrefix:
     """Adaptive-Simpson means over the circles |z| = r of max(0, log|f|).
 
     The absolute target is tol_unit per unit of integrand scale, set per
@@ -521,21 +500,9 @@ def circle_means(
     panels are summed correctly rounded, bit for bit as math.fsum sums them
     (`_fsums`, which calls fsum only near ties and at extreme magnitudes), so
     each mean is the one its circle gets alone, whatever the refinement order.
-    Raises the error of the first failing radius in the order given.
+    Stops at the first failing radius in the order given and returns its
+    error beside the means before it.
     """
-    means, err = _means_prefix(model, radii, tol_unit, base_panels, max_panels)
-    if err is not None:
-        raise err
-    return means
-
-
-def _means_prefix(
-    model: MeromorphicModel,
-    radii: Sequence[float],
-    tol_unit: float,
-    base_panels: int = 64,
-    max_panels: int = 400_000,
-) -> MeansPrefix:
     base = _BASE if base_panels == len(_BASE[0]) else _initial_panels([], base_panels)
     panels = [base] * len(radii)
     for j in model.seeded_radii(radii):
@@ -1167,8 +1134,6 @@ def verify_logdiff_bound(
 
 class ProductCertificate(NamedTuple):
     rows: Tuple[Tuple[int, float, int, float, bool], ...]  # k, r_k, n_k, threshold, ok
-    doubling_ok: bool
-    base_ok: bool
 
 
 def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, ProductCertificate]:
@@ -1202,12 +1167,7 @@ def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, Pr
         rows.append((k, rk, nk, threshold, nk > threshold))
         total += nk
         rk *= 2.0
-    cert = ProductCertificate(
-        rows=tuple(rows),
-        doubling_ok=all(b >= 2 * a for (a, _), (b, _) in zip(levels, levels[1:])),
-        base_ok=levels[0][0] > 6.0,
-    )
-    return CanonicalProduct(tuple(levels)), cert
+    return CanonicalProduct(tuple(levels)), ProductCertificate(tuple(rows))
 
 
 class ProductWindowRow(NamedTuple):
@@ -1280,16 +1240,19 @@ def model_from_spec(spec: str, _wrappers: int = 0) -> MeromorphicModel:
         return RationalFn(tuple(Fraction(c) for c in num), tuple(Fraction(c) for c in den))
     if text.startswith("product:"):
         body = text[len("product:") :]
-        s_val, n1_val = 2, 1
+        params = {}
         for part in body.split(","):
             k, _, v = part.partition("=")
-            if k.strip() == "s":
-                s_val = int(v)
-            elif k.strip() == "n1":
-                n1_val = int(v)
-            else:
+            name = k.strip()
+            if name not in ("s", "n1"):
                 raise ValueError(f"unknown product parameter {k!r}")
-        model, _ = build_example_product(s_val, n1_val)
+            if name in params:
+                raise ValueError(f"product parameter {name!r} given twice")
+            try:
+                params[name] = int(v)
+            except ValueError:
+                raise ValueError(f"product parameter {name}: invalid int value: {v!r}") from None
+        model, _ = build_example_product(params.get("s", 2), params.get("n1", 1))
         return model
     if text.startswith("exp:"):
         body = text[len("exp:") :]

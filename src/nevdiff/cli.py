@@ -255,13 +255,6 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     p = parse_polynomial(cfg.poly) if cfg.poly else clunie.benchmark_lhs()
     families = clunie.enumerate_families(p)
     if cfg.subcommand == "reduce":
-        if not clunie.is_benchmark(p):
-            _emit(
-                "reduction refused: the exclusion rules apply only to the "
-                "benchmark left side; run plain enumerate for this polynomial\n",
-                cfg,
-            )
-            return REJECTED
         families = clunie.reduce_families(families, p).kept
     if cfg.fmt == "json":
         payload = [
@@ -401,19 +394,20 @@ _COMMANDS = {
     "enumerate": (cmd_enumerate, "all admissible equation families", ("poly",)),
     "reduce": (cmd_enumerate, "apply the benchmark exclusion rules", ("poly",)),
     "shift-check": (cmd_shift_check, "shift inequalities on a model",
-                    ("model", "c_list", "r_min", "r_max", "ratio")),
+                    ("model", "c_list", "r_min", "r_max", "ratio", "tol_unit")),
     "logdiff-check": (cmd_logdiff_check, "explicit log-difference bound scan",
                       ("model", "c_list", "delta", "eps", "r_min", "horizon", "ratio",
-                       "max_log_measure")),
+                       "max_log_measure", "tol_unit")),
     "growth-scan": (cmd_growth_scan, "shift-stability scans for growth data",
                     ("growth_spec", "variant", "delta", "eps", "h", "big_k", "horizon")),
     "product-example": (cmd_product_example, "separating product window table",
-                        ("levels", "n1", "samples", "min_separation", "max_smallness")),
+                        ("levels", "n1", "samples", "min_separation", "max_smallness",
+                         "tol_unit")),
     "polechain": (cmd_polechain, "exact pole-order propagation table", ("k0", "steps", "skip")),
     "characteristic": (cmd_characteristic, "r,m,N,T,err table for a model",
-                       ("model", "r_min", "r_max", "ratio")),
+                       ("model", "r_min", "r_max", "ratio", "tol_unit")),
 }
-_COMMON = ("config", "out", "dry_run", "tol_unit")
+_COMMON = ("config", "out", "dry_run")
 # a field's flag is --<field> with dashes, but for these
 _FLAGS = {"c_list": "--c", "growth_spec": "--growth", "big_k": "--K"}
 _REQUIRED = ("model", "growth_spec")

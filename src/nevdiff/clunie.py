@@ -17,7 +17,8 @@ the solution has hyper-order at most one and minimal hyper-type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import Rejected
 from . import diffpoly as dp
@@ -96,11 +97,8 @@ class AdmissibilityReport(NamedTuple):
     ok: bool
     lhs_weight: int
     required: int  # max{deg Q - unshifted deg, deg U - min{unshifted deg, val Q}}
-    numerator_requirement: int
-    denominator_requirement: int
     valiron_degree: int  # max{deg Q, deg U}, the degree of the rational rhs
     valiron_cap: int  # lhs weight + unshifted degree
-    valiron_ok: bool
 
 
 class Verdict(NamedTuple):
@@ -204,34 +202,28 @@ def admissible(eq: ClunieEquation) -> AdmissibilityReport:
 
 
 def _admissibility(prof: DegreeProfile) -> AdmissibilityReport:
-    num_req = prof.numerator_degree - prof.lhs_unshifted_degree
-    den_req = prof.denominator_degree - min(
-        prof.lhs_unshifted_degree, prof.numerator_valuation
+    required = max(
+        prof.numerator_degree - prof.lhs_unshifted_degree,
+        prof.denominator_degree - min(prof.lhs_unshifted_degree, prof.numerator_valuation),
     )
-    required = max(num_req, den_req)
-    valiron_degree = max(prof.numerator_degree, prof.denominator_degree)
-    valiron_cap = prof.lhs_weight + prof.lhs_unshifted_degree
     return AdmissibilityReport(
         ok=prof.lhs_weight >= required,
         lhs_weight=prof.lhs_weight,
         required=required,
-        numerator_requirement=num_req,
-        denominator_requirement=den_req,
-        valiron_degree=valiron_degree,
-        valiron_cap=valiron_cap,
-        valiron_ok=valiron_degree <= valiron_cap,
+        valiron_degree=max(prof.numerator_degree, prof.denominator_degree),
+        valiron_cap=prof.lhs_weight + prof.lhs_unshifted_degree,
     )
 
 
-def _benchmark_rule(prof: DegreeProfile) -> Optional[str]:
-    """The exclusion rule, if any, that rules out an admissible equation with
-    the benchmark left side.  The plain cubic right side (deg U = 0) and the
-    denominator rewrite (deg U = 3) never both apply."""
-    if prof.denominator_degree == 0 and prof.numerator_degree == 3:
+def _benchmark_rule(deg_u: int, deg_q: int, pole_margin: int) -> Optional[str]:
+    """The exclusion rule, if any, that rules out an admissible equation, or
+    family, with the benchmark left side.  The plain cubic right side
+    (deg U = 0) and the denominator rewrite (deg U = 3) never both apply."""
+    if deg_u == 0 and deg_q == 3:
         return CUBIC_RHS_GROWTH
-    if prof.denominator_degree == 3:
+    if deg_u == 3:
         return DENOMINATOR_REWRITE
-    if prof.numerator_degree == 3 and prof.pole_margin > 0:
+    if deg_q == 3 and pole_margin > 0:
         return CUBIC_NUMERATOR_PROXIMITY
     return None
 
@@ -248,7 +240,8 @@ def profile_verdict(prof: DegreeProfile, benchmark: bool = False) -> Verdict:
         pole_density_bound=pole,
         zero_density_bound=zero,
         forces_identity=prof.lhs_weight == prof.pole_margin,
-        ruled_out=_benchmark_rule(prof) if benchmark else None,
+        ruled_out=_benchmark_rule(prof.denominator_degree, prof.numerator_degree,
+                                  prof.pole_margin) if benchmark else None,
     )
 
 
@@ -259,18 +252,14 @@ def profile_verdict(prof: DegreeProfile, benchmark: bool = False) -> Verdict:
 _ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 
 
-def _case_ranges(lam0: int, degp: int, q_cap: int) -> List[Tuple[int, int]]:
-    # Group ord0 values with identical saturation behaviour of the two mins.
-    ranges: List[Tuple[int, int]] = []
-    o = 0
-    while o <= q_cap:
-        key = (min(lam0, o), min(degp, o))
-        hi = o
-        while hi + 1 <= q_cap and (min(lam0, hi + 1), min(degp, hi + 1)) == key:
-            hi += 1
-        ranges.append((o, hi))
-        o = hi + 1
-    return ranges
+def _runs(values: Iterable[int], key: Callable[[int], object]) -> List[Tuple[int, int, object]]:
+    """The maximal runs of consecutive `values` with equal `key`, as
+    (first, last, key)."""
+    out = []
+    for k, run in groupby(values, key):
+        run = list(run)
+        out.append((run[0], run[-1], k))
+    return out
 
 
 def _side_conditions(o_lo: int, o_hi: int, du: int, q_lo: int, q_hi: int) -> Tuple[str, ...]:
@@ -297,49 +286,23 @@ def enumerate_families(p: DiffPolynomial) -> Tuple[FamilySpec, ...]:
     violations = lhs_hypothesis_violations(p)
     if violations:
         raise HypothesesViolated(violations)
-    kh = dp.weight(p)
-    lam0 = dp.unshifted_degree(p)
-    degp = dp.total_degree(p)
+    kh, lam0, degp = dp.weight(p), dp.unshifted_degree(p), dp.total_degree(p)
     q_cap = kh + lam0
     families: List[FamilySpec] = []
-    cases = _case_ranges(lam0, degp, q_cap)
-    for case_idx, (o_lo, o_hi) in enumerate(cases):
-        m_unshift = min(lam0, o_lo)
-        m_deg = min(degp, o_lo)
-        du_cap = kh + m_unshift
-        for du in range(du_cap + 1):
-            q = o_lo
-            while q <= q_cap:
-                margin = max(q - degp, du) - m_deg
-                q_hi = q
-                while (
-                    q_hi + 1 <= q_cap
-                    and max(q_hi + 1 - degp, du) - m_deg == margin
-                ):
-                    q_hi += 1
-                label = _ROMAN[case_idx] if case_idx < len(_ROMAN) else f"C{case_idx + 1}"
-                families.append(
-                    FamilySpec(
-                        case=label,
-                        ord0_min=o_lo,
-                        ord0_max=min(o_hi, q_hi),
-                        denominator_degree=du,
-                        numerator_degree_min=q,
-                        numerator_degree_max=q_hi,
-                        pole_margin=margin,
-                        side_conditions=_side_conditions(o_lo, o_hi, du, q, q_hi),
-                    )
-                )
-                q = q_hi + 1
-    order = {(_ROMAN[i] if i < len(_ROMAN) else f"C{i + 1}"): i for i in range(len(cases))}
-    families.sort(
-        key=lambda f: (
-            order[f.case],
-            f.pole_margin,
-            f.denominator_degree,
-            f.numerator_degree_max,
-        )
-    )
+    # ord0 values with identical saturation of the two mins form one case
+    cases = _runs(range(q_cap + 1), lambda o: (min(lam0, o), min(degp, o)))
+    for case_idx, (o_lo, o_hi, (m_unshift, m_deg)) in enumerate(cases):
+        label = _ROMAN[case_idx] if case_idx < len(_ROMAN) else f"C{case_idx + 1}"
+        case: List[FamilySpec] = []
+        for du in range(kh + m_unshift + 1):
+            margins = _runs(range(o_lo, q_cap + 1), lambda q: max(q - degp, du) - m_deg)
+            case.extend(
+                FamilySpec(label, o_lo, min(o_hi, q_hi), du, q_lo, q_hi, margin,
+                           _side_conditions(o_lo, o_hi, du, q_lo, q_hi))
+                for q_lo, q_hi, margin in margins
+            )
+        case.sort(key=lambda f: (f.pole_margin, f.denominator_degree, f.numerator_degree_max))
+        families.extend(case)
     return tuple(families)
 
 
@@ -359,12 +322,14 @@ def reduce_families(
     left side.
     """
     if p is not None and not is_benchmark(p):
-        raise WrongBenchmark("the exclusion rules apply only to the benchmark left side")
+        raise WrongBenchmark("the exclusion rules apply only to the benchmark left side; "
+                             "run plain enumerate for this polynomial")
     kept: List[FamilySpec] = []
     removed: List[Tuple[FamilySpec, str]] = []
     truncated: List[Tuple[FamilySpec, FamilySpec]] = []
     for fam in families:
-        rule = _benchmark_rule(_benchmark_profile(fam))
+        rule = _benchmark_rule(fam.denominator_degree, fam.numerator_degree_max,
+                               fam.pole_margin)
         if rule in (DENOMINATOR_REWRITE, CUBIC_RHS_GROWTH):
             removed.append((fam, rule))
             continue
@@ -381,19 +346,6 @@ def reduce_families(
             fam = capped
         kept.append(fam)
     return ReductionOutcome(tuple(kept), tuple(removed), tuple(truncated))
-
-
-def _benchmark_profile(fam: FamilySpec) -> DegreeProfile:
-    return DegreeProfile.from_counts(
-        lhs_degree=2,
-        lhs_weight=2,
-        lhs_shifted_degree=2,
-        lhs_unshifted_degree=1,
-        lhs_valuation=0,
-        denominator_degree=fam.denominator_degree,
-        numerator_degree=fam.numerator_degree_max,
-        numerator_valuation=fam.ord0_min,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from . import Refused
-from .zfield import RZ_ONE, RatZ
+from .zfield import RatZ
 
 MAX_EXPONENT = 2**63 - 1  # degrees are machine integers
 
@@ -101,10 +101,6 @@ class DiffPolynomial(NamedTuple):
     terms: Tuple[Term, ...]
 
     @property
-    def width(self) -> int:
-        return 1 + len(self.shifts)
-
-    @property
     def is_symbolic(self) -> bool:
         return any(isinstance(c, SymbolicCoeff) for c, _ in self.terms)
 
@@ -161,11 +157,6 @@ def normalize(shifts: Sequence[Shift], terms: Sequence[Term]) -> DiffPolynomial:
     ]
     kept.sort(key=lambda t: t[1], reverse=True)
     return DiffPolynomial(shifts, tuple(kept))
-
-
-def constant_poly(value: RatZ = RZ_ONE, shifts: Sequence[Shift] = ()) -> DiffPolynomial:
-    width = 1 + len(shifts)
-    return normalize(shifts, [(value, (0,) * width)])
 
 
 def _require_terms(p: DiffPolynomial) -> None:

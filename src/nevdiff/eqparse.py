@@ -112,14 +112,6 @@ class ClunieEquation(NamedTuple):
     def shifts(self) -> Tuple[Shift, ...]:
         return self.lhs.shifts
 
-    @property
-    def is_symbolic(self) -> bool:
-        return (
-            self.lhs.is_symbolic
-            or self.numerator.is_symbolic
-            or self.denominator.is_symbolic
-        )
-
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -190,14 +182,7 @@ class _RawTerm:
         self.numeric: RatZ = RZ_ONE
         self.saw_numeric = False
         self.exps: Dict[int, int] = {}  # slot -> exponent
-        self.groups: List[Tuple[_RawPoly, int, int]] = []  # group, power, position
-
-
-class _RawPoly:
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: List[_RawTerm] = []
+        self.groups: List[Tuple[List[_RawTerm], int, int]] = []  # group, power, position
 
 
 class _Ctx:
@@ -428,14 +413,12 @@ class _Parser:
 
     # --- polynomial layer
 
-    def parse_poly(self) -> _RawPoly:
-        poly = _RawPoly()
-        terms = poly.terms
-        terms.append(self._term(self.take_sign() or 1))
+    def parse_poly(self) -> List[_RawTerm]:
+        terms = [self._term(self.take_sign() or 1)]
         while True:
             s = self.take_sign()
             if not s:
-                return poly
+                return terms
             terms.append(self._term(s))
 
     def _term(self, sign: int) -> _RawTerm:
@@ -565,9 +548,9 @@ def _flat_mul(a: List[Tuple[int, Optional[Tuple[str, bool, int]], RatZ, Dict[int
     return out
 
 
-def _expand(poly: _RawPoly):
+def _expand(poly: List[_RawTerm]):
     flat = []
-    for term in poly.terms:
+    for term in poly:
         acc = [(term.sign, term.symbol, term.numeric, dict(term.exps))]
         made = 0
         for group, power, pos in term.groups:
@@ -651,11 +634,11 @@ def _finish(ctx: _Ctx, flats: List[list]) -> List[DiffPolynomial]:
     return [_materialize(flat, shifts, slots) for flat in flats]
 
 
-def _bare_groups(poly: _RawPoly) -> List[_RawPoly]:
+def _bare_groups(poly: List[_RawTerm]) -> List[List[_RawTerm]]:
     """The groups of `poly` when it is one term made only of parenthesized
     groups without powers, else none."""
-    term = poly.terms[0]
-    if len(poly.terms) != 1 or term.sign != 1 or term.symbol or term.saw_numeric or term.exps:
+    term = poly[0]
+    if len(poly) != 1 or term.sign != 1 or term.symbol or term.saw_numeric or term.exps:
         return []
     if any(power != 1 for _, power, _ in term.groups):
         return []
@@ -665,7 +648,8 @@ def _bare_groups(poly: _RawPoly) -> List[_RawPoly]:
 _UNIT_FLAT = [(1, None, RZ_ONE, {})]
 
 
-def _equation_sides(lhs_raw: _RawPoly, num_raw: _RawPoly, den_raw: Optional[_RawPoly]):
+def _equation_sides(lhs_raw: List[_RawTerm], num_raw: List[_RawTerm],
+                    den_raw: Optional[List[_RawTerm]]):
     """The expanded lhs, numerator and denominator, expanded in that order.
     Without a denominator, a left side that is exactly `(U)*(P)` with U
     expanding to a w-only polynomial reads as `(U)*(P) = Q`: U, expanded
@@ -688,7 +672,7 @@ def parse_equation(text: str) -> ClunieEquation:
     parser.expect_op("=")
 
     rhs_raw = parser.parse_poly()
-    den_raw: Optional[_RawPoly] = None
+    den_raw: Optional[List[_RawTerm]] = None
     if parser.at_op("/"):
         slash = parser.take()
         groups = _bare_groups(rhs_raw)
@@ -858,13 +842,7 @@ def poly_text(p: DiffPolynomial) -> str:
 def to_canonical_text(eq: ClunieEquation) -> str:
     """Render so that parsing the result reproduces the equation exactly."""
     u = eq.denominator
-    is_one = (
-        len(u.terms) == 1
-        and not isinstance(u.terms[0][0], SymbolicCoeff)
-        and u.terms[0][0].is_one
-        and all(e == 0 for e in u.terms[0][1])
-    )
     left = poly_text(eq.lhs)
-    if is_one:
+    if u.terms == ((RZ_ONE, (0,) * (1 + len(u.shifts))),):
         return f"{left} = {poly_text(eq.numerator)}"
     return f"{left} = ({poly_text(eq.numerator)})/({poly_text(eq.denominator)})"

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random equations for round-trip checks."""
+"""Shared test utilities: seeded random equations for round-trip checks, and
+the circle means of a model raising the first failing radius's error."""
 
 from __future__ import annotations
 
@@ -96,3 +97,15 @@ def random_equation(rng: random.Random) -> ClunieEquation:
     raw = ClunieEquation(lhs=lhs, numerator=numerator, denominator=denominator)
     # canonicalize slot order and coefficient signs through one parse
     return parse_equation(to_canonical_text(raw))
+
+
+def circle_means(model, radii, *, tol_unit: float, base_panels: int = 64,
+                 max_panels: int = 400_000):
+    """The means over the circles |z| = r of max(0, log|f|), one per radius
+    (`charfn._means_prefix`); raises the error of the first failing radius."""
+    from nevdiff.charfn import _means_prefix  # numpy only where a test needs it
+
+    means, err = _means_prefix(model, radii, tol_unit, base_panels, max_panels)
+    if err is not None:
+        raise err
+    return means

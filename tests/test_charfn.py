@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from nevdiff import charfn as cf
 from nevdiff.zfield import zp_add, zp_mul
 
+from helpers import circle_means
+
 F0, F1 = F(0), F(1)
 
 Z_POLY = cf.RationalFn((F0, F1), (F1,))  # f(z) = z
@@ -526,8 +528,8 @@ def test_proximity_double_exponential_shift_factor():
 
 def test_proximity_error_bounds_doubled_run():
     for model, r in ((EXP_Z, 37.0), (INV_SHIFT, 9.0), (cf.ExpExp(), 4.0)):
-        a = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=64)[0]
-        b = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=128)[0]
+        a = circle_means(model, [r], tol_unit=1e-8, base_panels=64)[0]
+        b = circle_means(model, [r], tol_unit=1e-8, base_panels=128)[0]
         assert abs(a.value - b.value) <= a.error + b.error + 1e-15
 
 
@@ -566,10 +568,10 @@ def test_circle_means_block_matches_each_circle_alone(monkeypatch, model, radii)
         return block_means(*args, **kwargs)
 
     monkeypatch.setattr(cf, "_block_means", counting)
-    block = cf.circle_means(model, radii, tol_unit=1e-8)
+    block = circle_means(model, radii, tol_unit=1e-8)
     # the radii span several blocks
     assert len(blocks) >= 2 and sum(blocks) == len(radii)
-    alone = [cf.circle_means(model, [r], tol_unit=1e-8)[0] for r in radii]
+    alone = [circle_means(model, [r], tol_unit=1e-8)[0] for r in radii]
     for got, want in zip(block, alone):
         assert got.radius == want.radius
         assert got.value == want.value
@@ -599,9 +601,9 @@ def test_probe_rows_are_evaluated_in_chunks(monkeypatch):
     radii = _grid(0.5, 3.0, 32) + [4.99, 5.01, 4.95]
     seeded = [r for r in radii if NEAR_POLES.seed_angles(r)]
     assert seeded == radii[32:]
-    alone = [cf.circle_means(NEAR_POLES, [r], tol_unit=1e-8)[0] for r in radii]
+    alone = [circle_means(NEAR_POLES, [r], tol_unit=1e-8)[0] for r in radii]
     sizes = _record_sizes(monkeypatch, cf.RationalFn)
-    assert cf.circle_means(NEAR_POLES, radii, tol_unit=1e-8) == alone
+    assert circle_means(NEAR_POLES, radii, tol_unit=1e-8) == alone
     # one block: rows 0-14, rows 15-29, then rows 30-34 with the seeded
     # circles' panel ends and midpoints
     panels = sum(len(cf._initial_panels(NEAR_POLES.seed_angles(r), 64)[0]) for r in seeded)
@@ -612,10 +614,10 @@ def test_block_of_at_most_15_circles_makes_one_model_call(monkeypatch):
     radii = _grid(1.0, 60.0, 16)
     sizes = _record_sizes(monkeypatch, cf.ExpPoly)
     # every circle is accepted in its first round
-    assert [m.evaluations for m in cf.circle_means(EXP_Z, radii[:15], tol_unit=1e-8)] == [257] * 15
+    assert [m.evaluations for m in circle_means(EXP_Z, radii[:15], tol_unit=1e-8)] == [257] * 15
     assert sizes == [15 * 257]
     sizes.clear()
-    cf.circle_means(EXP_Z, radii, tol_unit=1e-8)
+    circle_means(EXP_Z, radii, tol_unit=1e-8)
     assert sizes == [15 * 257, 257]
 
 
@@ -652,7 +654,7 @@ PINNED_MEANS = [
 )
 def test_circle_mean_pinned_bits(model, r, base_panels, seeded, value, error, evaluations):
     assert bool(model.seed_angles(r)) == seeded
-    mean = cf.circle_means(model, [r], tol_unit=1e-8, base_panels=base_panels)[0]
+    mean = circle_means(model, [r], tol_unit=1e-8, base_panels=base_panels)[0]
     assert mean.value.hex() == value
     assert mean.error.hex() == error
     assert mean.evaluations == evaluations
@@ -668,7 +670,7 @@ def test_block_of_whole_refined_and_seeded_circles_matches_each_alone(monkeypatc
         return block_means(*args, **kwargs)
 
     monkeypatch.setattr(cf, "_block_means", counting)
-    block = cf.circle_means(SMALL_RING, radii, tol_unit=1e-8)
+    block = circle_means(SMALL_RING, radii, tol_unit=1e-8)
     assert blocks == [len(radii)]
     # rows summed whole, rows that refine, and circles with seed angles
     kinds = {
@@ -677,7 +679,7 @@ def test_block_of_whole_refined_and_seeded_circles_matches_each_alone(monkeypatc
         for m in block
     }
     assert kinds == {"seeded", "whole", "refined"}
-    assert block == [cf.circle_means(SMALL_RING, [r], tol_unit=1e-8)[0] for r in radii]
+    assert block == [circle_means(SMALL_RING, [r], tol_unit=1e-8)[0] for r in radii]
 
 
 @pytest.mark.parametrize(
@@ -703,7 +705,7 @@ def test_scan_far_from_the_divisor_asks_for_no_seeds_or_bars(monkeypatch):
         monkeypatch.setattr(cf.MeromorphicModel, name, counting)
     grid = cf.geometric_grid(10.0, 1e6, 1.01)
     for model in (SQUARE_LESS_TWO, cf.Quotient(cf.Shifted(SQUARE_LESS_TWO, 1.0), SQUARE_LESS_TWO)):
-        assert len(cf.circle_means(model, grid, tol_unit=1e-8)) == len(grid)
+        assert len(circle_means(model, grid, tol_unit=1e-8)) == len(grid)
     assert calls == {"seed_angles": 0, "band_error": 0}
 
 
@@ -785,7 +787,7 @@ def test_rational_log_abs_is_the_two_polyval_path(model):
 
 def test_unseeded_circle_accepted_in_first_round_evaluates_only_the_probe():
     assert not EXP_Z.seed_angles(5.0)
-    mean = cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8)[0]
+    mean = circle_means(EXP_Z, [5.0], tol_unit=1e-8)[0]
     assert mean.evaluations == len(cf._PROBE) == 257
 
 
@@ -815,9 +817,9 @@ EXPEXP_OVER_POLES = cf.Quotient(cf.ExpExp(), NEAR_POLES)
 
 def test_unseeded_circle_over_budget_in_its_first_round():
     with pytest.raises(cf.QuadratureNonConvergence) as info:
-        cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=64)
+        circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=64)
     assert str(info.value) == "budget exhausted at r=5 (257 evaluations)"
-    assert cf.circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=65)[0].evaluations == 257
+    assert circle_means(EXP_Z, [5.0], tol_unit=1e-8, max_panels=65)[0].evaluations == 257
 
 
 @pytest.mark.parametrize(
@@ -832,7 +834,7 @@ def test_unseeded_circle_over_budget_in_its_first_round():
 def test_panel_cap_right_after_the_first_round(max_panels, message):
     assert not Z_CUBED.seed_angles(2.0)
     with pytest.raises(cf.QuadratureNonConvergence) as info:
-        cf.circle_means(Z_CUBED, [2.0], tol_unit=1e-8, max_panels=max_panels)
+        circle_means(Z_CUBED, [2.0], tol_unit=1e-8, max_panels=max_panels)
     assert str(info.value) == message
 
 
@@ -844,7 +846,7 @@ def test_block_of_probed_and_seeded_circles_fails_in_order():
         # r = 800 overflows in its probe, but r = 4.9 runs on and exhausts
         # its budget several rounds later
         with pytest.raises(cf.QuadratureNonConvergence) as info:
-            cf.circle_means(EXPEXP_OVER_POLES, [4.9, 800.0], tol_unit=1e-8, max_panels=200)
+            circle_means(EXPEXP_OVER_POLES, [4.9, 800.0], tol_unit=1e-8, max_panels=200)
         means, err = cf._means_prefix(EXPEXP_OVER_POLES, radii, 1e-8, 64, 300)
     assert str(info.value) == "budget exhausted at r=4.9 (809 evaluations)"
     assert isinstance(err, cf.NumericalBreakdown)
@@ -881,15 +883,15 @@ def test_block_raises_for_the_first_failing_radius_in_order():
     # alone, r = 4.95 exhausts the budget in fewer rounds than r = 4.9
     radii = [3.0, 4.9, 4.95, 6.0]
     with pytest.raises(cf.QuadratureNonConvergence, match=r"at r=4\.9 "):
-        cf.circle_means(NEAR_POLES, radii, tol_unit=1e-8, max_panels=200)
+        circle_means(NEAR_POLES, radii, tol_unit=1e-8, max_panels=200)
     with pytest.raises(cf.QuadratureNonConvergence, match=r"at r=4\.95 "):
-        cf.circle_means(NEAR_POLES, [3.0, 4.95, 6.0], tol_unit=1e-8, max_panels=200)
+        circle_means(NEAR_POLES, [3.0, 4.95, 6.0], tol_unit=1e-8, max_panels=200)
 
 
 def test_budget_applies_only_to_circles_still_refining():
     # alone, r = 4.95 ends over the budget of 4 * 266 evaluations one round
     # before r = 4.92 ends
-    means = cf.circle_means(NEAR_POLES, [4.95, 4.92], tol_unit=1e-8, max_panels=266)
+    means = circle_means(NEAR_POLES, [4.95, 4.92], tol_unit=1e-8, max_panels=266)
     assert means[0].evaluations > 4 * 266
 
 
@@ -897,7 +899,7 @@ def test_overflowing_integrand_is_a_numerical_breakdown():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(cf.NumericalBreakdown, match=r"r=800\b"):
-            cf.circle_means(cf.ExpExp(), [5.0, 800.0, 900.0], tol_unit=1e-8)
+            circle_means(cf.ExpExp(), [5.0, 800.0, 900.0], tol_unit=1e-8)
 
 
 def test_pole_on_circle_perturbs():
@@ -1005,7 +1007,8 @@ def test_rational_degree_law():
         den = build(den_as, with_z=False)
         f = cf.RationalFn(tuple(F(c) for c in num), tuple(F(c) for c in den))
         s = cf.characteristic_T(f, 1e4)
-        assert s.T / math.log(1e4) == pytest.approx(f.degree, rel=0.02)
+        degree = max(len(num), len(den)) - 1
+        assert s.T / math.log(1e4) == pytest.approx(degree, rel=0.02)
 
 
 def test_characteristic_monotone_and_log_convex():
@@ -1114,7 +1117,17 @@ def test_build_product_levels():
     # smallest integer above 4 * 16 * log(16)^2 = 491.98...
     assert model.levels[1][1] == 492
     assert all(ok for *_, ok in cert.rows)
-    assert cert.doubling_ok and cert.base_ok
+
+
+@pytest.mark.parametrize("levels, message", [
+    ((), "need at least one level"),
+    (((6.0, 1),), "first ring radius must exceed 6"),
+    (((8.0, 1), (15.9, 2)), "ring radii must at least double"),
+    (((8.0, 1), (16.0, 0)), "ring multiplicities are positive integers"),
+])
+def test_canonical_product_refuses_bad_levels(levels, message):
+    with pytest.raises(ValueError, match=message):
+        cf.CanonicalProduct(levels)
 
 
 def test_build_product_single_level():

@@ -85,10 +85,19 @@ def test_reduce_matches_golden(capsys):
     assert out.encode() == (DATA / "families_9.txt").read_bytes()
 
 
+REDUCE_REFUSAL = ("rejected: the exclusion rules apply only to the benchmark left side; "
+                  "run plain enumerate for this polynomial\n")
+
+
 def test_reduce_refused_for_other_poly(capsys):
-    code, out, _ = run(capsys, "reduce", "--poly", "w(z+1)*w(z-1)")
-    assert code == 2
-    assert "refused" in out
+    assert run(capsys, "reduce", "--poly", "w(z+1)*w(z-1)") == (2, "", REDUCE_REFUSAL)
+
+
+def test_refused_reduce_writes_no_file(tmp_path, capsys):
+    out_path = tmp_path / "report.txt"
+    assert run(capsys, "reduce", "--poly", "w(z+1)*w(z-1)", "--out", str(out_path)) == (
+        2, "", REDUCE_REFUSAL)
+    assert not out_path.exists()
 
 
 def test_enumerate_deterministic(capsys):
@@ -204,8 +213,8 @@ def _opt(flag, dest, kind=None, required=False, choices=None):
 # them: option, dest, type name (None where the text passes through, as
 # str does), required, choices.
 _FORMAT = [_opt("--format", "fmt", choices=("text", "json")), _opt("--json", "fmt")]
-_COMMON = [_opt("--config", "config"), _opt("--out", "out"), _opt("--dry-run", "dry_run"),
-           _opt("--tol-unit", "tol_unit", "float")]
+_COMMON = [_opt("--config", "config"), _opt("--out", "out"), _opt("--dry-run", "dry_run")]
+_TOL_UNIT = _opt("--tol-unit", "tol_unit", "float")  # only where a quadrature reads it
 _MODEL = _opt("--model", "model", required=True)
 _R_MIN, _R_MAX = _opt("--r-min", "r_min", "float"), _opt("--r-max", "r_max", "float")
 _RATIO, _HORIZON = _opt("--ratio", "ratio", "float"), _opt("--horizon", "horizon", "float")
@@ -214,9 +223,10 @@ SURFACE = {
     "classify": _FORMAT + [_opt("--eq", "eq"), _opt("--file", "file")] + _COMMON,
     "enumerate": _FORMAT + [_opt("--poly", "poly")] + _COMMON,
     "reduce": _FORMAT + [_opt("--poly", "poly")] + _COMMON,
-    "shift-check": [_MODEL, _opt("--c", "c_list"), _R_MIN, _R_MAX, _RATIO] + _COMMON,
+    "shift-check": [_MODEL, _opt("--c", "c_list"), _R_MIN, _R_MAX, _RATIO, _TOL_UNIT] + _COMMON,
     "logdiff-check": [_MODEL, _opt("--c", "c_list"), _DELTA, _EPS, _R_MIN, _HORIZON, _RATIO,
-                      _opt("--max-log-measure", "max_log_measure", "float")] + _COMMON,
+                      _opt("--max-log-measure", "max_log_measure", "float"),
+                      _TOL_UNIT] + _COMMON,
     "growth-scan": [_opt("--growth", "growth_spec", required=True),
                     _opt("--variant", "variant", choices=("density", "logmeasure", "fixed")),
                     _DELTA, _EPS, _opt("--h", "h", "float"), _opt("--K", "big_k", "float"),
@@ -224,10 +234,11 @@ SURFACE = {
     "product-example": [_opt("--levels", "levels", "int"), _opt("--n1", "n1", "int"),
                         _opt("--samples", "samples", "int"),
                         _opt("--min-separation", "min_separation", "float"),
-                        _opt("--max-smallness", "max_smallness", "float")] + _COMMON,
+                        _opt("--max-smallness", "max_smallness", "float"),
+                        _TOL_UNIT] + _COMMON,
     "polechain": [_opt("--k0", "k0", "int"), _opt("--steps", "steps", "int"),
                   _opt("--skip", "skip")] + _COMMON,
-    "characteristic": [_MODEL, _R_MIN, _R_MAX, _RATIO] + _COMMON,
+    "characteristic": [_MODEL, _R_MIN, _R_MAX, _RATIO, _TOL_UNIT] + _COMMON,
 }
 
 
@@ -502,6 +513,13 @@ def test_non_finite_config_rejected(capsys, argv, field):
          "error: symbolic and numeric coefficients in one equation (positions 0 and 16)\n"),
         (["enumerate", "--poly", "a*w(z+1)*w(z-1)+a*w(z+1)*w+c*w*w(z-1)"],
          "error: coefficient name 'a' is used more than once\n"),
+        # product spec parameters, refused in the words of a bad flag
+        (["characteristic", "--model", "product:s=abc"],
+         "error: product parameter s: invalid int value: 'abc'\n"),
+        (["characteristic", "--model", "product:s=2.5"],
+         "error: product parameter s: invalid int value: '2.5'\n"),
+        (["characteristic", "--model", "product:s=2,s=1"],
+         "error: product parameter 's' given twice\n"),
     ],
 )
 def test_refused_inputs_exit_one(capsys, argv, message):
@@ -523,6 +541,8 @@ def test_refused_inputs_exit_one(capsys, argv, message):
         (["characteristic", "--model", "exp:z", "--json"], "--json"),
         (["shift-check", "--model", "expexp", "--format", "json"], "--format json"),
         (["polechain", "--format", "text"], "--format text"),
+        # --tol-unit only where a quadrature reads it
+        (["classify", "--tol-unit", "1e-3", "--eq", BENCH_EQ], "--tol-unit 1e-3"),
     ],
 )
 def test_unknown_flags_exit_one(capsys, argv, flag):
@@ -618,6 +638,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
          "characteristic takes no config key 'levels'"),
         (["shift-check", "--model", "expexp"], "max_log_measure = 2",
          "shift-check takes no config key 'max_log_measure'"),
+        (["classify", "--eq", BENCH_EQ], "tol_unit = 1e-3",
+         "classify takes no config key 'tol_unit'"),
     ],
 )
 def test_invalid_config_values_rejected(tmp_path, capsys, argv, line, message):
@@ -766,9 +788,9 @@ def test_report_written_to_file(tmp_path, capsys):
          2, "10bc3540c25ffe031a4fdbbefa7e2cca5efbd451204301b2d2dc91a2d70da692"),
         (["classify", "--json", "--eq", BENCH_LHS + " = a4*w^4+a0"],
          2, "2203debb82d8f023fc5812a11f9750e56c0bfa758f7efa25e37dc7143a4d4dd6"),
-        # reduction refused off the benchmark
+        # reduction refused off the benchmark: one stderr line, no report
         (["reduce", "--poly", "w(z+1)*w(z-1)"],
-         2, "092564795ba234f255df83599760a7957110148c459fcb8b3c543255fd998d3b"),
+         2, "c4866b320e4d3d603f41fdb86396c414e69a9cafb6a2f9cbbb9e3e0aa76d3d2d"),
         # failure sets of upper density 0.99 and 0.9999: not certified
         (["growth-scan", "--growth", "power:3", "--variant", "fixed", "--h", "1", "--K", "0",
           "--horizon", "100"],
@@ -779,8 +801,45 @@ def test_report_written_to_file(tmp_path, capsys):
 )
 def test_report_bytes_pinned(capsys, argv, code, digest):
     got, out, err = run(capsys, *argv)
-    assert (got, err) == (code, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert got == code
+    if err:  # a rejection: its one line and no report
+        assert out == "" and err.startswith("rejected: ") and err.count("\n") == 1
+    assert hashlib.sha256((out or err).encode()).hexdigest() == digest
+
+
+# enumerate off the benchmark, recorded before the family scan was rewritten:
+# two and three shifts, degrees 2 to 4, and degree 10, whose eleventh case is C11
+@pytest.mark.parametrize("poly, text_digest, json_digest", [
+    ("w(z+1)*w(z-1)",
+     "5908697f1fe24f77a43e00fd137fdf07d4c29e765f2682ffbbc25eadd48eb7b9",
+     "21b89b51b230be8a44b6079c88fde7aeeff5438a83e355df53f427e5312dab40"),
+    ("w*w(z+1)^2+w(z-1)^3",
+     "d37e339d9e4d08c4188dc00182c8f6609ef9d2f4e84579b52a213e103fc60845",
+     "b95b3ae7df103414b02517fba441bb5870bf6ee372a8be2fc4ec76d0cf8bbec8"),
+    ("w^2*w(z+1)+w(z+1)*w(z-1)^2",
+     "08af42ba9b8de205c31a3aa6f2aa48cbf88ceb74a33240f3e54e81e861629ef8",
+     "9c1201ea09c1ca70ab3b77d3f48791d3b419744bb0fedf128c3e537286d6c77b"),
+    ("w^2*w(z+1)^2+w(z-1)^4",
+     "b8e418ec7f9a42f1a868909bb1de008e6666c27d0bb04c809877b4e08edfbee3",
+     "c1bd8e695d8e71aa3fd7e2c36b353374d7c9418956fbf842dcc927741e02963e"),
+    ("w*w(z+i)+w(z+1)*w(z-i)",
+     "4f3d2c5c824b6f0de1b3ff34471e700fbf1e04895a64f5dd11b91b7a50116e13",
+     "d0f78f7ad715f02b0102b11681526c52f3c2ab7599f48cec7956cb9f73b8dcee"),
+    ("w*w(z+1)*w(z+2)+w(z-1)^3",
+     "eb3e0565e1185b87705ca4dea0f5469cd1e4855b11f2fcd44f728e4b26b3060d",
+     "3a8283a5716fa5ecccf70a3d0d3ea371e3c221cbc529e3af7ba05f6ee82fb5c7"),
+    ("w^3*w(z+1)+w(z+1)^2*w(z-1)*w(z+2)",
+     "ebdfdce8c2d47e911e5cc755438ef2bdeb20ec975303d012a8b29dc502d485eb",
+     "2c71745a7b7a93e32cd24926794fb6d980150d11c376a038e1c27adf54e41d16"),
+    ("w^9*w(z+1)+w(z-1)^10",
+     "334ce18b2b2a8bf5dd807c18db5bcde63c8b528856dfe7df9b069acf07433bb2",
+     "83e69357896bb88cefb346781058796753ec1e4515486c8a5b6040f53b9abcef"),
+])
+def test_enumerate_bytes_pinned(capsys, poly, text_digest, json_digest):
+    for flags, digest in (((), text_digest), (("--json",), json_digest)):
+        code, out, err = run(capsys, "enumerate", "--poly", poly, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("growth, rows, certified, code", [

@@ -96,7 +96,7 @@ def test_admissible_bounds_for_benchmark():
 def test_admissible_reports_valiron_cap():
     rep = clunie.admissible(parse_equation(bench_eq("a0")))
     assert rep.valiron_cap == 3
-    assert rep.valiron_ok
+    assert rep.valiron_degree <= rep.valiron_cap
 
 
 def test_admissible_requires_hypotheses():
