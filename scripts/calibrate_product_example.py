@@ -27,7 +27,7 @@ def main() -> int:
         rows = cf.example_product_report(model, s)
         record["windows"][str(s)] = {
             "levels": [[rk, nk] for rk, nk in model.levels],
-            "certificate_rows": [list(row) for row in cert.rows],
+            "certificate_rows": [list(row) for row in cert],
             "r": [row.r for row in rows],
             "separation_ratio": [row.separation_ratio for row in rows],
             "smallness_ratio": [row.smallness_ratio for row in rows],

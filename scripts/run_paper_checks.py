@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end verification run: every CLI workflow on its reference inputs.
 
-Writes one report per workflow into an output directory (default ./reports)
-and prints a one-line verdict per step, then `sha256 <hex>` over the reports'
-bytes in step order, which is the same on every run.  Exit code 0 only if
-every step passes its own hard assertions.
+Usage: run_paper_checks.py [OUT_DIR]
+
+Writes one report per workflow into OUT_DIR (default ./reports) and prints a
+one-line verdict per step, then `sha256 <hex>` over the reports' bytes in
+step order, which is the same on every run.  Exit code 0 only if every step
+passes its own hard assertions; -h or --help prints the usage line, and any
+other flag or a second argument is refused with exit 1.
 """
 
 from __future__ import annotations
@@ -67,8 +70,16 @@ STEPS = [
 ]
 
 
-def main() -> int:
-    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("reports")
+def main(args: list) -> int:
+    if "-h" in args or "--help" in args:
+        print("usage: run_paper_checks.py [OUT_DIR]  (default ./reports)")
+        return 0
+    if len(args) > 1 or (args and args[0].startswith("-")):
+        bad = args[1] if len(args) > 1 else args[0]
+        print(f"error: unrecognized argument {bad!r}; takes one output directory",
+              file=sys.stderr)
+        return 1
+    out_dir = Path(args[0]) if args else Path("reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = 0
     digest = hashlib.sha256()
@@ -84,4 +95,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -59,11 +59,10 @@ class QuadratureNonConvergence(NumericalBreakdown):
 
 
 class Ring(NamedTuple):
-    """The n points R e^{2 pi i j/n} - offset, each of multiplicity mult."""
+    """The n simple points R e^{2 pi i j/n} - offset."""
 
     R: float
     n: int
-    mult: float
     offset: complex
 
 
@@ -82,8 +81,6 @@ class MeromorphicModel(Model):
     seed angles of its quadrature and the error bar of its averaged rings
     are all read off the blocks of both kinds.
     """
-
-    label = "model"
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,7 +115,7 @@ class MeromorphicModel(Model):
             # an unshifted ring lies on |z| = R <= radius, up to rounding
             if ring.offset != 0:
                 q = q[np.abs(q) <= radius]
-            out.extend((z, ring.mult) for z in q.tolist())
+            out.extend((z, 1.0) for z in q.tolist())
         return out
 
     @cached_property
@@ -127,7 +124,7 @@ class MeromorphicModel(Model):
         evaluates by their circle mean, kind by kind."""
         return [
             (k, R, abs(c), R * _EXACT_BAND / n)
-            for k, kind in enumerate(_KINDS) for R, n, _, c in self._blocks[kind][1]
+            for k, kind in enumerate(_KINDS) for R, n, c in self._blocks[kind][1]
             if n >= _RIPPLE_AVERAGE_N
         ]
 
@@ -150,7 +147,7 @@ class MeromorphicModel(Model):
         for kind in _KINDS:
             listed, rings = self._blocks[kind]
             qs = [q for q, _ in listed]
-            for R, n, _, c in rings:
+            for R, n, c in rings:
                 if c == 0 and n <= 256:
                     # angles as exact fractions of a turn
                     points.extend((R, TWO_PI * j / n) for j in range(n))
@@ -191,7 +188,7 @@ class MeromorphicModel(Model):
 
 def _ring_array(ring: Ring) -> np.ndarray:
     """The ring's points as a complex array."""
-    R, n, _, c = ring
+    R, n, c = ring
     return R * np.exp(1j * (TWO_PI * np.arange(n) / n)) - c
 
 
@@ -255,10 +252,6 @@ class RationalFn(MeromorphicModel):
         self.den = den
         self._floats = _poly_floats(num, "numerator"), _poly_floats(den, "denominator")
 
-    @property
-    def label(self) -> str:
-        return f"rational:{{{_poly_text_frac(self.num)}}}/{{{_poly_text_frac(self.den)}}}"
-
     @cached_property
     def _roots(self) -> Tuple[Tuple[Tuple[complex, int], ...], ...]:
         """(zeros, poles) as clustered (point, multiplicity) pairs."""
@@ -281,14 +274,6 @@ def _cleared(coeffs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
     for c in coeffs:
         denom = denom * c.denominator // math.gcd(denom, c.denominator)
     return tuple(int(c * denom) for c in coeffs), denom
-
-
-def _poly_text_frac(coeffs: Sequence[Fraction]) -> str:
-    from .zfield import zp_text
-
-    ints, denom = _cleared(coeffs)
-    txt = zp_text(ints)
-    return txt if denom == 1 else f"({txt})/{denom}"
 
 
 def _require_coprime(num: Sequence[Fraction], den: Sequence[Fraction]) -> None:
@@ -332,10 +317,6 @@ class CanonicalProduct(MeromorphicModel):
                 raise ValueError("ring multiplicities are positive integers")
         self.levels = levels
 
-    @property
-    def label(self) -> str:
-        return "product:" + ",".join(f"({rk:g},{nk})" for rk, nk in self.levels)
-
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         out = np.zeros(z.shape, dtype=float)
         if out.size == 0:
@@ -352,7 +333,7 @@ class CanonicalProduct(MeromorphicModel):
     def divisor_blocks(self, kind: str, offset: complex = 0j) -> Divisor:
         if kind == "poles":
             return [], ()
-        return [], tuple(Ring(rk, nk, 1.0, offset) for rk, nk in self.levels)
+        return [], tuple(Ring(rk, nk, offset) for rk, nk in self.levels)
 
 
 def _add_ring_log_abs(out: np.ndarray, z: np.ndarray, log_r: np.ndarray,
@@ -398,18 +379,12 @@ class ExpPoly(MeromorphicModel):
         self.exponent = exponent
         self._floats = _poly_floats(exponent, "exponent")
 
-    @property
-    def label(self) -> str:
-        return f"exp:{_poly_text_frac(self.exponent)}"
-
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return _polyval(self._floats, z).real
 
 
 class ExpExp(MeromorphicModel):
     """exp(exp(z)); zero-free and pole-free, hyper-order one."""
-
-    label = "expexp"
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return np.exp(z.real) * np.cos(z.imag)
@@ -421,10 +396,6 @@ class Shifted(MeromorphicModel):
     def __init__(self, base: MeromorphicModel, c: complex):
         self.base = base
         self.c = c
-
-    @property
-    def label(self) -> str:
-        return f"shift:{self.c}:{self.base.label}"
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return self.base.log_abs(z + self.c)
@@ -441,10 +412,6 @@ class Quotient(MeromorphicModel):
     def __init__(self, num: MeromorphicModel, den: MeromorphicModel):
         self.num = num
         self.den = den
-
-    @property
-    def label(self) -> str:
-        return f"quot:({self.num.label})/({self.den.label})"
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return self.num.log_abs(z) - self.den.log_abs(z)
@@ -736,7 +703,7 @@ def _counting_arrays(model: MeromorphicModel, kind: str):
     with R/2 < |offset| < 2R converges too slowly, so its points go into the
     index instead."""
     points, rings = model._blocks[kind]
-    for R, n, _, c in rings:  # before any ring is materialised
+    for R, n, c in rings:  # before any ring is materialised
         if n > _DIRECT_MAX and 0.5 < abs(c) / R < 2.0:
             raise ValueError(f"counting a ring of more than {_DIRECT_MAX} points shifted "
                              f"by |c|={abs(c):g} needs |c| <= R/2 or |c| >= 2R")
@@ -744,13 +711,13 @@ def _counting_arrays(model: MeromorphicModel, kind: str):
     mults = [np.array([m for _, m in points], dtype=float)]
     closed = []
     for ring in rings:
-        R, n, mult, c = ring
+        R, n, c = ring
         if c == 0:
             mags.append(np.array([R]))
-            mults.append(np.array([n * mult]))
+            mults.append(np.array([n], dtype=float))
         elif 0.5 < abs(c) / R < 2.0:
             mags.append(np.abs(_ring_array(ring)))
-            mults.append(np.full(n, mult))
+            mults.append(np.ones(n))
         else:
             closed.append(ring)
     mags, mults = np.concatenate(mags), np.concatenate(mults)
@@ -782,7 +749,7 @@ def _counting_grid(model: MeromorphicModel, radii: Sequence[float], of: str) -> 
     out = []
     for r, m, mlog in zip(radii, prefix_m[k].tolist(), prefix_mlog[k].tolist()):
         log_r = math.log(r)
-        ring_part = sum(ring.mult * _ring_counting(ring, r) for ring in rings)
+        ring_part = sum(_ring_counting(ring, r) for ring in rings)
         out.append(m * log_r - mlog + n0 * log_r + ring_part)
     return out
 
@@ -796,7 +763,7 @@ def _arc(ring: Ring, r: float) -> Tuple[int, int]:
     """(j0, L): the points a_j = R w^j - c (w = e^{2 pi i/n}) of the ring
     with |a_j| < r are j = j0, ..., j0 + L - 1, up to points with |a_j| = r
     within rounding, which add log(r/|a_j|) = 0 to the count."""
-    R, n, _, c = ring
+    R, n, c = ring
     ac = abs(c)
     if r >= R + ac:
         return 0, n
@@ -821,7 +788,7 @@ def _sin_pi(p: int, n: int) -> float:
 
 def _ring_counting(ring: Ring, r: float) -> float:
     """Sum of log(r/|a_j|) over the points of the ring inside |z| < r."""
-    R, n, _, c = ring
+    R, n, c = ring
     j0, L = _arc(ring, r)
     if L == 0:
         return 0.0
@@ -915,18 +882,14 @@ def characteristic_samples(
 def _proximity_prefix(
     model: MeromorphicModel, radii: Sequence[float], tol_unit: float
 ) -> MeansPrefix:
-    """proximity_m over radii in order, up to the first radius that fails."""
+    """proximity_m over radii in order, up to the first radius that fails.
+
+    Like every table here, each column runs only on the radii before the
+    previous one stopped, so the last column's error, if it has one, is the
+    one a scan in radius order meets first."""
     used, err = _off_poles(model, radii)
     means, mean_err = _means_prefix(model, used, tol_unit)
-    return means, _first_error((len(used), err), (len(means), mean_err))
-
-
-def _first_error(*columns: Tuple[int, Optional[Exception]]) -> Optional[Exception]:
-    """The error a scan in radius order meets first, of columns given as
-    (index of the radius where the column stops, its error or None): the
-    error of the smallest index, and at one index the one listed first."""
-    return min(((i, k, err) for k, (i, err) in enumerate(columns) if err is not None),
-               default=(0, 0, None))[2]
+    return means, mean_err or err
 
 
 def _characteristic_prefix(
@@ -1008,7 +971,7 @@ def _shift_rows(
     # any row: the far column's index k is row k - 1
     far = [1.0 + 2.0 * c_abs] + [r + c_abs for r in radii]
     far_means, far_err = _proximity_prefix(model, far[: len(lhs_means) + 1], tol_unit)
-    err = _first_error((len(lhs_means), lhs_err), (len(far_means) - 1, far_err))
+    err = far_err or lhs_err
     done = radii[: len(far_means[1:])]
     # the poles, if any lie in the disc a little past r + |c|
     kinds = ["poles" if model.poles(r + c_abs + 1.0) else "zeros" for r in done]
@@ -1108,11 +1071,7 @@ def verify_logdiff_bound(
     quotient = Quotient(Shifted(model, c), model)
     m_means, m_err = _proximity_prefix(quotient, [grid[i] for i in kept[: len(pressures)]],
                                        tol_unit)
-    # each column's stop as a grid index; at one radius T comes first, then
-    # the pressure, then m
-    at = kept + [len(grid)]
-    err = _first_error((len(samples), t_err), (at[len(pressures)], p_err),
-                       (at[len(m_means)], m_err))
+    err = m_err or p_err or t_err
     if err is not None:
         raise err
     rows = [ScanRow(grid[i], m.value, rhs_all[i], m.value <= rhs_all[i])
@@ -1132,13 +1091,12 @@ def verify_logdiff_bound(
 # the separating product example
 
 
-class ProductCertificate(NamedTuple):
-    rows: Tuple[Tuple[int, float, int, float, bool], ...]  # k, r_k, n_k, threshold, ok
-
-
-def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, ProductCertificate]:
+def build_example_product(
+    s_max: int, n1: int = 1
+) -> Tuple[CanonicalProduct, Tuple[Tuple[int, float, int, float, bool], ...]]:
     """Rings r_k = 8 * 2^(k-1); each n_k is the smallest integer strictly
-    above 4 r_k (log r_k)^2 * (sum of earlier counts).
+    above 4 r_k (log r_k)^2 * (sum of earlier counts).  Returns the product
+    and its certificate rows (k, r_k, n_k, threshold, n_k > threshold).
 
     Refuses the first level with log n_k / log r_k >= 8, before any later
     n_k is computed, so the counts stay far inside the float range.
@@ -1167,7 +1125,7 @@ def build_example_product(s_max: int, n1: int = 1) -> Tuple[CanonicalProduct, Pr
         rows.append((k, rk, nk, threshold, nk > threshold))
         total += nk
         rk *= 2.0
-    return CanonicalProduct(tuple(levels)), ProductCertificate(tuple(rows))
+    return CanonicalProduct(tuple(levels)), tuple(rows)
 
 
 class ProductWindowRow(NamedTuple):
@@ -1200,8 +1158,7 @@ def example_product_report(
     base, base_err = _characteristic_prefix(model, grid, tol_unit)
     shift, shift_err = _characteristic_prefix(shifted, grid[: len(base)], tol_unit)
     quot, quot_err = _proximity_prefix(Quotient(shifted, model), grid[: len(shift)], tol_unit)
-    # at one radius T(r, f) comes first, then T(r, f_c), then m(r, f_c/f)
-    err = _first_error((len(base), base_err), (len(shift), shift_err), (len(quot), quot_err))
+    err = quot_err or shift_err or base_err
     if err is not None:
         raise err
     return [

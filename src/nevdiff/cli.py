@@ -354,7 +354,7 @@ def cmd_product_example(cfg: RunConfig) -> int:
     )
     summary = {
         "levels": [[rk, nk] for rk, nk in model.levels],
-        "certificate_ok": all(ok for *_, ok in cert.rows),
+        "certificate_ok": all(ok for *_, ok in cert),
     }
     _emit(_table("r,T_base,T_shifted,m_quotient,separation_ratio,smallness_ratio",
                  rows, summary), cfg)

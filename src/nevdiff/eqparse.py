@@ -97,20 +97,13 @@ class ClunieEquation(NamedTuple):
 
     All three polynomials share one shift list; numerator and denominator
     involve only the unshifted variable.  Coefficients are small functions of
-    any solution by convention (`small_coefficients`); the DSL records this
-    as metadata rather than expressing it.
+    any solution by convention, which the DSL does not express.
     """
 
     lhs: DiffPolynomial
     numerator: DiffPolynomial
     denominator: DiffPolynomial
     coprimality: Coprimality = Coprimality.UNCHECKED
-    note: Optional[str] = None
-    small_coefficients: bool = True
-
-    @property
-    def shifts(self) -> Tuple[Shift, ...]:
-        return self.lhs.shifts
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +703,7 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
     symbolic equations cannot be decided and are marked Asserted.
     """
     if eq.denominator.is_symbolic or eq.numerator.is_symbolic:
-        return eq._replace(
-            coprimality=Coprimality.ASSERTED,
-            note="symbolic coefficients: coprimality asserted, not computed",
-        )
+        return eq._replace(coprimality=Coprimality.ASSERTED)
     u = _plain_coeff_list(eq.denominator)
     q = _plain_coeff_list(eq.numerator)
     g_deg = wpoly_gcd_degree(u, q)
@@ -721,7 +711,7 @@ def validate_no_common_factors(eq: ClunieEquation) -> ClunieEquation:
         raise CommonFactor(
             f"numerator and denominator share a factor of degree {g_deg} in w"
         )
-    return eq._replace(coprimality=Coprimality.VERIFIED, note=None)
+    return eq._replace(coprimality=Coprimality.VERIFIED)
 
 
 def _plain_coeff_list(p: DiffPolynomial) -> List[RatZ]:

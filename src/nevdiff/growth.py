@@ -55,15 +55,13 @@ class Model:
 
 
 class GrowthFunction(Model):
-    """Positive growth data; fast-growing cases work through `log_value`."""
+    """Positive growth data T, given by log T(r) so that fast growth stays
+    in the float range."""
 
     label = "growth"
 
-    def value(self, r: float) -> float:
-        raise NotImplementedError
-
     def log_value(self, r: float) -> float:
-        return math.log(self.value(r))
+        raise NotImplementedError
 
 
 class PowerGrowth(GrowthFunction):

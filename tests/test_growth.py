@@ -97,8 +97,8 @@ def test_windowed_scan_guards_recorded():
 class RunningIntegral(g.GrowthFunction):
     """T(r) = r - 1, the running integral of A(t)/t for A(t) = t."""
 
-    def value(self, r):
-        return max(r - 1.0, 1e-12)
+    def log_value(self, r):
+        return math.log(max(r - 1.0, 1e-12))
 
 
 def test_windowed_scan_running_integral_instance():

@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +96,39 @@ def test_product_table_raises_the_first_error_by_radius(monkeypatch, stops, firs
     assert got == pytest.approx(first)
 
 
+class StackedPoles(cf.MeromorphicModel):
+    """Poles at 5 and at the two radii that 5 is nudged to, so that the
+    circle |z| = 5 stays on a pole after 3 nudges."""
+
+    def log_abs(self, z):
+        return np.zeros(z.shape)
+
+    def divisor_blocks(self, kind, offset=0j):
+        mags = [5.0, 5.0 * (1.0 + 1e-9)]
+        mags.append(mags[-1] * (1.0 + 1e-9))
+        return [(complex(m) - offset, 1) for m in mags if kind == "poles"], ()
+
+
+# radii 3, 4, 5, 6: the pole nudge stops at 5, and the quadrature runs on the
+# radii before it
+@pytest.mark.parametrize(
+    "stops, first",
+    [
+        ({"StackedPoles": 4.0}, "StackedPoles at r=4.000000"),  # quadrature first
+        ({"StackedPoles": 5.0}, "poles stayed on |z| = 5 after 3 nudges"),
+        ({}, "poles stayed on |z| = 5 after 3 nudges"),
+    ],
+)
+def test_characteristic_raises_a_quadrature_stop_before_a_pole_on_the_circle(
+    monkeypatch, stops, first
+):
+    _stop_columns(monkeypatch, stops)
+    with pytest.raises(cf.NumericalBreakdown) as info:
+        cf.characteristic_samples(StackedPoles(), [3.0, 4.0, 5.0, 6.0])
+    assert str(info.value) == first
+    assert isinstance(info.value, cf.PoleOnCircle) == first.startswith("poles")
+
+
 def test_windows_past_the_float_range_are_numerical_breakdowns():
     # (log log T)^(1+eps) underflows to 0 just above T = e, overflows at r = 5
     with pytest.raises(cf.NumericalBreakdown, match=r"^log-log window .* at r=1.25$"):
@@ -123,6 +157,7 @@ def test_a_guard_past_the_float_range_skips_every_radius():
         # m is not computed where the pressure stopped
         ({"Quotient": 70.0}, "slow-growth pressure overflows at r=75.9375"),
         ({"ExpPoly": 70.0}, "ExpPoly at r=75.937500"),  # T before the pressure
+        ({"ExpPoly": 100.0}, "slow-growth pressure overflows at r=75.9375"),  # T later
     ],
 )
 def test_logdiff_pressure_is_a_column_between_t_and_m(monkeypatch, stops, first):
