@@ -210,13 +210,16 @@ def _poly_floats(coeffs: Sequence[Fraction], what: str) -> np.ndarray:
 
 
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner from the leading coefficient: for finite z, c * z is bit for
-    bit (0 * z + c) * z, so this is the loop started from zero.  No
-    coefficients is the zero polynomial."""
+    """Horner started from zero.  For finite z and a nonzero c, c * z is bit
+    for bit (0 * z + c) * z, so a nonzero leading c starts from c * z (from a
+    zero one, a zero's sign could differ).  No coefficients is zero."""
     if not len(coeffs):
         return 0.0 * z
-    acc = coeffs[-1] * z + coeffs[-2] if len(coeffs) > 1 else 0.0 * z + coeffs[0]
-    for c in coeffs[-3::-1]:
+    if len(coeffs) > 1 and coeffs[-1]:
+        acc, rest = coeffs[-1] * z + coeffs[-2], coeffs[-3::-1]
+    else:
+        acc, rest = 0.0 * z + coeffs[-1], coeffs[-2::-1]
+    for c in rest:
         acc = acc * z + c
     return acc
 

@@ -122,14 +122,6 @@ class FamilySpec(NamedTuple):
     pole_margin: int
     side_conditions: Tuple[str, ...]
 
-    def triples(self) -> List[Tuple[int, int, int]]:
-        """All (ord0 Q, deg Q, deg U) this family covers."""
-        out = []
-        for q in range(self.numerator_degree_min, self.numerator_degree_max + 1):
-            for o in range(self.ord0_min, min(self.ord0_max, q) + 1):
-                out.append((o, q, self.denominator_degree))
-        return out
-
 
 class ReductionOutcome(NamedTuple):
     kept: Tuple[FamilySpec, ...]

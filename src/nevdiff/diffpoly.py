@@ -75,10 +75,6 @@ def shift_key(re: Fraction, im: Fraction) -> Tuple[int, int, int, int]:
     return (re.numerator, re.denominator, im.numerator, im.denominator)
 
 
-def shift(re, im=0, index: int = 1) -> Shift:
-    return Shift(Fraction(re), Fraction(im), index)
-
-
 class SymbolicCoeff(NamedTuple):
     """A named small coefficient, generically nonzero.
 

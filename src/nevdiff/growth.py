@@ -23,10 +23,6 @@ class TooSmall(Rejected):
     """T(r) <= e, outside the domain of the log-log window."""
 
 
-class HypothesisViolation(Rejected):
-    """A monotonicity or convexity requirement fails on the grid."""
-
-
 # ---------------------------------------------------------------------------
 # growth functions
 
@@ -146,10 +142,6 @@ class ExceptionSet(_ExceptionSetFields):
             prev = b
         return super().__new__(cls, intervals, horizon)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
 
 class DensityReport(NamedTuple):
     lower_density: float
@@ -213,18 +205,6 @@ def densities(es: ExceptionSet) -> DensityReport:
 
 # ---------------------------------------------------------------------------
 # shift-window functionals
-
-
-def phi(T: GrowthFunction, r: float) -> float:
-    """Running maximum of t / max(1, log T(t)) over [1, r]."""
-    if r < 1:
-        raise ValueError("phi is defined on [1, oo)")
-    best = 0.0
-    for t in geometric_grid(1.0, r, 1.0005):
-        v = t / max(1.0, T.log_value(t))
-        if v > best:
-            best = v
-    return best
 
 
 def phi_eps(T: GrowthFunction, eps: float, r: float) -> float:
@@ -378,88 +358,3 @@ def scan_fixed_shift(T: GrowthFunction, h: float, K: float, horizon: float) -> S
     # finite logarithmic measure implies zero density, which is what a
     # finite grid can show
     return ScanResult(rows, es, rep, skipped, True, rep.upper_density <= MAX_EXCEPTION_DENSITY)
-
-
-# ---------------------------------------------------------------------------
-# covering bound for slow landings (classical Edrei–Fuchs lemma)
-
-
-class CoveringBound(NamedTuple):
-    measured: float
-    bound: float
-    rows: Tuple[ScanRow, ...]
-
-
-def edrei_fuchs_bound(
-    psi: Callable[[float], float], varphi: Callable[[float], float], a: float, A: float
-) -> CoveringBound:
-    """Measure {r in [a, A]: psi(r + varphi(psi(r))) >= psi(r) + 1} and bound
-    it by the integral of varphi over [psi(a)-1, psi(A)].
-
-    psi must be non-decreasing and varphi non-increasing on the scanned
-    range (checked on the grid).
-    """
-    if not a < A:
-        raise ValueError("need a < A")
-    grid = geometric_grid(a, A, 1.005)
-    psi_vals = [psi(r) for r in grid]
-    for x, y in zip(psi_vals, psi_vals[1:]):
-        if y < x - 1e-12 * max(1.0, abs(x)):
-            raise HypothesisViolation("psi must be non-decreasing")
-    phis = [varphi(v) for v in psi_vals]
-    for x, y in zip(phis, phis[1:]):
-        if y > x + 1e-12 * max(1.0, abs(x)):
-            raise HypothesisViolation("varphi must be non-increasing along psi")
-
-    def lands_slow(r: float) -> bool:
-        p = psi(r)
-        return psi(r + varphi(p)) >= p + 1.0
-
-    flags = [lands_slow(r) for r in grid]
-    measured = 0.0
-    rows = []
-    for k in range(len(grid) - 1):
-        lo, hi = grid[k], grid[k + 1]
-        fl, fr = flags[k], flags[k + 1]
-        if fl and fr:
-            measured += hi - lo
-        elif fl != fr:
-            # refine the transition point by bisection
-            x0, x1 = lo, hi
-            for _ in range(60):
-                mid = 0.5 * (x0 + x1)
-                if lands_slow(mid) == fl:
-                    x0 = mid
-                else:
-                    x1 = mid
-            measured += (x0 - lo) if fl else (hi - x1)
-        rows.append(ScanRow(lo, 1.0 if fl else 0.0, 1.0, True))
-    bound = _integrate(varphi, psi_vals[0] - 1.0, psi_vals[-1], 1e-6)
-    return CoveringBound(measured=measured, bound=bound, rows=tuple(rows))
-
-
-def _integrate(f: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> float:
-    if hi <= lo:
-        return 0.0
-
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    total = 0.0
-    stack = [(lo, hi, f(lo), f(0.5 * (lo + hi)), f(hi), 40)]
-    while stack:
-        x0, x2, f0, f1, f2, depth = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        whole = simpson(x0, x2, f0, f1, f2)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * rel_tol * max(
-            abs(left + right), 1e-300
-        ):
-            total += left + right + (left + right - whole) / 15.0
-        else:
-            stack.append((x0, xm, f0, fl, f1, depth - 1))
-            stack.append((xm, x2, f1, fr, f2, depth - 1))
-    return total

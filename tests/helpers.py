@@ -1,14 +1,16 @@
-"""Shared test utilities: seeded random equations for round-trip checks, and
-the circle means of a model raising the first failing radius's error."""
+"""Shared test utilities: seeded random equations for round-trip checks, the
+circle means of a model raising the first failing radius's error, and the
+classical Edrei-Fuchs covering bound as an oracle for the growth lemma."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from nevdiff.diffpoly import Shift, SymbolicCoeff, normalize
 from nevdiff.eqparse import ClunieEquation, parse_equation, to_canonical_text
+from nevdiff.growth import geometric_grid
 from nevdiff.zfield import RZ_ONE, RatZ, ratz
 
 _SHIFT_POOL = [
@@ -109,3 +111,75 @@ def circle_means(model, radii, *, tol_unit: float, base_panels: int = 64,
     if err is not None:
         raise err
     return means
+
+
+def edrei_fuchs_bound(
+    psi: Callable[[float], float], varphi: Callable[[float], float], a: float, A: float
+) -> Tuple[float, float]:
+    """Measure {r in [a, A]: psi(r + varphi(psi(r))) >= psi(r) + 1} and bound
+    it by the integral of varphi over [psi(a)-1, psi(A)]: (measured, bound).
+
+    psi must be non-decreasing and varphi non-increasing on the scanned
+    range (checked on the grid).
+    """
+    if not a < A:
+        raise ValueError("need a < A")
+    grid = geometric_grid(a, A, 1.005)
+    psi_vals = [psi(r) for r in grid]
+    for x, y in zip(psi_vals, psi_vals[1:]):
+        if y < x - 1e-12 * max(1.0, abs(x)):
+            raise ValueError("psi must be non-decreasing")
+    phis = [varphi(v) for v in psi_vals]
+    for x, y in zip(phis, phis[1:]):
+        if y > x + 1e-12 * max(1.0, abs(x)):
+            raise ValueError("varphi must be non-increasing along psi")
+
+    def lands_slow(r: float) -> bool:
+        p = psi(r)
+        return psi(r + varphi(p)) >= p + 1.0
+
+    flags = [lands_slow(r) for r in grid]
+    measured = 0.0
+    for k in range(len(grid) - 1):
+        lo, hi = grid[k], grid[k + 1]
+        fl, fr = flags[k], flags[k + 1]
+        if fl and fr:
+            measured += hi - lo
+        elif fl != fr:
+            # refine the transition point by bisection
+            x0, x1 = lo, hi
+            for _ in range(60):
+                mid = 0.5 * (x0 + x1)
+                if lands_slow(mid) == fl:
+                    x0 = mid
+                else:
+                    x1 = mid
+            measured += (x0 - lo) if fl else (hi - x1)
+    return measured, _integrate(varphi, psi_vals[0] - 1.0, psi_vals[-1], 1e-6)
+
+
+def _integrate(f: Callable[[float], float], lo: float, hi: float, rel_tol: float) -> float:
+    if hi <= lo:
+        return 0.0
+
+    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    total = 0.0
+    stack = [(lo, hi, f(lo), f(0.5 * (lo + hi)), f(hi), 40)]
+    while stack:
+        x0, x2, f0, f1, f2, depth = stack.pop()
+        xm = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        fl, fr = f(xl), f(xr)
+        whole = simpson(x0, x2, f0, f1, f2)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * rel_tol * max(
+            abs(left + right), 1e-300
+        ):
+            total += left + right + (left + right - whole) / 15.0
+        else:
+            stack.append((x0, xm, f0, fl, f1, depth - 1))
+            stack.append((xm, x2, f1, fr, f2, depth - 1))
+    return total

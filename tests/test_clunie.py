@@ -265,7 +265,10 @@ def test_enumeration_matches_triple_oracle():
             for deg_u in range(0, 4):
                 if kh >= max(deg_q - lam0, deg_u - min(lam0, ord0)):
                     oracle.add((ord0, deg_q, deg_u))
-    covered = [t for f in fams for t in f.triples()]
+    # the (ord0 Q, deg Q, deg U) each family covers
+    covered = [(o, q, f.denominator_degree) for f in fams
+               for q in range(f.numerator_degree_min, f.numerator_degree_max + 1)
+               for o in range(f.ord0_min, min(f.ord0_max, q) + 1)]
     assert len(covered) == len(set(covered)), "families overlap"
     assert set(covered) == oracle
 

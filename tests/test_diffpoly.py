@@ -12,7 +12,6 @@ from nevdiff.diffpoly import (
     SymbolicCoeff,
     SymbolicDuplicate,
     normalize,
-    shift,
 )
 from nevdiff.eqparse import parse_polynomial
 from nevdiff.zfield import RZ_ONE, ratz
@@ -21,7 +20,7 @@ BENCH = "w*w(z+1)+w*w(z-1)+w(z+1)*w(z-1)"
 
 
 def two_shifts():
-    return (shift(1, 0, 1), shift(-1, 0, 2))
+    return (Shift(Fraction(1), Fraction(0), 1), Shift(Fraction(-1), Fraction(0), 2))
 
 
 def test_normalize_idempotent():
