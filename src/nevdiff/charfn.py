@@ -958,55 +958,43 @@ def shift_inequality_sweep(
     *,
     tol_unit: float = 1e-8,
 ) -> List[ShiftCheckRow]:
-    return _shift_rows(model, c, geometric_grid(r_min, r_max, ratio), tol_unit)
-
-
-def _shift_rows(
-    model: MeromorphicModel, c: complex, radii: Sequence[float], tol_unit: float
-) -> List[ShiftCheckRow]:
+    radii = geometric_grid(r_min, r_max, ratio)
     c_abs = abs(c)
     if any(r <= 1.0 + c_abs for r in radii):
         raise ValueError("need r > 1 + |c|")
     shifted = Shifted(model, c)
-    lhs_means, lhs_err = _proximity_prefix(shifted, radii, tol_unit)
+    lhs, lhs_err = _characteristic_prefix(shifted, radii, tol_unit)
     # the additive constants are the same quantities at the base radius
     # r0 = 1 + 2|c|, the far grid's first radius, which a scan meets before
     # any row: the far column's index k is row k - 1
-    far = [1.0 + 2.0 * c_abs] + [r + c_abs for r in radii]
-    far_means, far_err = _proximity_prefix(model, far[: len(lhs_means) + 1], tol_unit)
+    far_radii = [1.0 + 2.0 * c_abs] + [r + c_abs for r in radii[: len(lhs)]]
+    far, far_err = _characteristic_prefix(model, far_radii, tol_unit)
     err = far_err or lhs_err
-    done = radii[: len(far_means[1:])]
+    done = radii[: len(far[1:])]
     # the poles, if any lie in the disc a little past r + |c|
     kinds = ["poles" if model.poles(r + c_abs + 1.0) else "zeros" for r in done]
     # per kind in use: N(r, f_c) over the grid, and N(r0, f) then N(r + |c|, f);
     # counted over the rows before the first error, whose refusals come first
     counts = {
-        kind: (
-            _counting_grid(shifted, done, kind),
-            _counting_grid(model, far[: len(far_means)], kind),
-        )
-        for kind in dict.fromkeys(kinds + ["poles"])
+        kind: (_counting_grid(shifted, done, kind),
+               _counting_grid(model, far_radii[: len(far)], kind))
+        for kind in dict.fromkeys(kinds)
     }
     if err is not None:
         raise err
-    const_t = far_means[0].value + counts["poles"][1][0]
+    const = far[0]
     rows = []
-    columns = zip(radii, kinds, lhs_means, far_means[1:])
-    for i, (r, kind, lhs_mean, far_mean) in enumerate(columns):
-        (lhs_ns, base_ns), (lhs_ps, base_ps) = counts[kind], counts["poles"]
-
-        lhs_n = lhs_ns[i]
+    for i, (r, kind, lhs_t, far_t) in enumerate(zip(radii, kinds, lhs, far[1:])):
+        lhs_ns, base_ns = counts[kind]
         main_n = _counting_factor(c_abs, r) * base_ns[i + 1]
-        used_n = lhs_n - main_n - base_ns[0]
-
-        lhs_t = lhs_mean.value + lhs_ps[i]
-        far_t = far_mean.value + base_ps[i + 1]
-        main_t = _char_factor(c_abs, r) * far_t
-        err_t = lhs_mean.error + _char_factor(c_abs, r) * far_mean.error
-        used_t = lhs_t - main_t - const_t
+        used_n = lhs_ns[i] - main_n - base_ns[0]
+        factor = _char_factor(c_abs, r)
+        main_t = factor * far_t.T
+        err_t = lhs_t.quad_error + factor * far_t.quad_error + const.quad_error
+        used_t = lhs_t.T - main_t - const.T
         rows.append(ShiftCheckRow(
-            r=r, c=c, counting_kind=kind, counting_lhs=lhs_n, counting_main=main_n,
-            counting_slack_used=used_n, counting_ok=used_n <= LOG2, char_lhs=lhs_t,
+            r=r, c=c, counting_kind=kind, counting_lhs=lhs_ns[i], counting_main=main_n,
+            counting_slack_used=used_n, counting_ok=used_n <= LOG2, char_lhs=lhs_t.T,
             char_main=main_t, char_slack_used=used_t, char_ok=used_t <= LOG2 + err_t,
             quad_error=err_t,
         ))
@@ -1053,8 +1041,8 @@ def verify_logdiff_bound(
     skipped.  `window_divergent` records whether the slow-growth hypothesis
     holds on the data (pressure (log r)^(1+eps) log T / r decaying); when it
     does not, the scan is a negative control and diagnostic only.  The scan
-    is certified when the hypothesis holds and the exception set has finite
-    logarithmic measure.
+    is certified when the hypothesis holds: on a finite grid the exception
+    set always has finite logarithmic measure.
     """
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
@@ -1086,8 +1074,7 @@ def verify_logdiff_bound(
     es = exception_set_from_grid(grid, failing, horizon)
     rep = densities(es)
     hypothesis = decays(pressures)
-    return ScanResult(tuple(rows), es, rep, tuple(skipped), hypothesis,
-                      hypothesis and rep.log_measure < math.inf)
+    return ScanResult(tuple(rows), es, rep, tuple(skipped), hypothesis, hypothesis)
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,6 @@ class RatZ(NamedTuple):
     def __neg__(self) -> "RatZ":
         return RatZ(zp_neg(self.num), self.den)
 
-    def __sub__(self, other: "RatZ") -> "RatZ":
-        return self + (-other)
-
     def __mul__(self, other: "RatZ") -> "RatZ":
         if self.is_zero or other.is_zero:
             return RZ_ZERO
@@ -236,11 +233,6 @@ class RatZ(NamedTuple):
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
         return _primitive(zp_mul(n1, n2), zp_mul(d1, d2))
-
-    def __truediv__(self, other: "RatZ") -> "RatZ":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return ratz(zp_mul(self.num, other.den), zp_mul(self.den, other.num))
 
     def text(self) -> str:
         if self.den == ZP_ONE:

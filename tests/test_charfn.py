@@ -1081,6 +1081,25 @@ def test_shift_check_three_level_product():
     assert all(r.counting_ok and r.char_ok for r in rows)
 
 
+# r0 = 1 + 2|c| = 3 lies on the pole of 1/(z-3), so T(r0) is taken at 3(1 + 1e-9)
+POLE_AT_R0 = cf.model_from_spec("rational:{1}/{z-3}")
+
+
+def test_shift_check_constant_is_T_at_one_radius():
+    # m(r0) and N(r0) are read at the same nudged radius, as in the T column
+    const = cf.characteristic_samples(POLE_AT_R0, [3.0])[0].T
+    for row in cf.shift_inequality_sweep(POLE_AT_R0, 1.0, 3.5, 10.0):
+        recovered = row.char_lhs - row.char_main - row.char_slack_used
+        assert recovered == pytest.approx(const, rel=0, abs=1e-12)
+
+
+def test_shift_check_error_bar_covers_the_constant():
+    const = cf.characteristic_samples(POLE_AT_R0, [3.0])[0]
+    assert const.quad_error > 0
+    for row in cf.shift_inequality_sweep(POLE_AT_R0, 1.0, 3.5, 10.0):
+        assert row.quad_error >= const.quad_error
+
+
 def test_triangle_inequality_for_proximity():
     for model, c, r in (
         (INV_SHIFT, 1.0, 30.0),

@@ -754,10 +754,10 @@ def test_report_written_to_file(tmp_path, capsys):
         (["shift-check", "--model", "rational:{1}/{z-1}", "--c", "1,i", "--r-min", "3",
           "--r-max", "40"],
          0, "fdf23973556e42f4886c052082a65e658517bbb192f6e5b38c162408cd09d4c8"),
-        # r0 = 1 + 2|c| = 3 lies on the pole, so the constant's radius is nudged
+        # r0 = 1 + 2|c| = 3 lies on the pole, so the constant is T at the nudged radius
         (["shift-check", "--model", "rational:{1}/{z-3}", "--c", "1", "--r-min", "3.5",
           "--r-max", "10"],
-         0, "6ccb7392bd5aacf807a8bab05752c36687ded3263f8712babe6a67dca4e0481f"),
+         0, "6fefcc0dbb758d858de159c50dd5d62790ee5fdb17bb6800aaa22d166e3cd7f1"),
         (["product-example", "--levels", "3"],
          0, "c9d8d71775e6de72c9a4a62bdab0eba6a6792b9dc3537f304d45a285f8757101"),
         (["product-example", "--levels", "1", "--samples", "4"],

@@ -75,10 +75,11 @@ def ratz_euclid_gcd_degree(a, b):
     while fb:
         r = list(fa)
         while len(r) >= len(fb):
-            factor = r[-1] / fb[-1]
+            # r[-1] / fb[-1], as a product with the reciprocal
+            factor = r[-1] * ratz(fb[-1].den, fb[-1].num)
             shift_by = len(r) - len(fb)
             for i, cb in enumerate(fb):
-                r[shift_by + i] = r[shift_by + i] - factor * cb
+                r[shift_by + i] = r[shift_by + i] + -(factor * cb)
             r.pop()
             r = trim(r)
             if not r:
@@ -123,14 +124,14 @@ def test_ratz_arithmetic():
     third = ratz((1,), (3,))
     assert half + third == ratz((5,), (6,))
     assert half * third == ratz((1,), (6,))
-    assert (half - half) == RZ_ZERO
-    assert (half / half) == RZ_ONE
+    assert half + (-half) == RZ_ZERO
+    assert half * ratz((2,)) == RZ_ONE
     # 1/(z(z-1)) + 1/(z(z+1)) = 2z/(z(z^2-1)): the sum shares z with the
     # gcd of the denominators
     a = ratz((1,), zp_mul((0, 1), (-1, 1)))
     b = ratz((1,), zp_mul((0, 1), (1, 1)))
     assert a + b == ratz((2,), (-1, 0, 1))
-    assert a - a == RZ_ZERO
+    assert a + (-a) == RZ_ZERO
 
 
 def test_zp_text_shapes():
